@@ -11,8 +11,8 @@
 //!
 //! The pieces:
 //!
-//! * [`json`] — a minimal JSON value/parser/writer (the environment has no
-//!   serde, and the protocol needs only small flat documents);
+//! * [`json`] — the workspace's minimal JSON value/parser/writer
+//!   (`ap_trace::json`, re-exported here for the protocol and its clients);
 //! * [`proto`] — the line protocol: [`proto::Request`]/[`proto::Response`]
 //!   frames, [`proto::WireSpec`] (a simulation point as reference-config
 //!   knobs), and 64 KB-capped framing;
@@ -28,10 +28,10 @@
 #![forbid(unsafe_code)]
 
 pub mod client;
-pub mod json;
 pub mod proto;
 pub mod server;
 
+pub use ap_trace::json;
 pub use client::{Client, ClientError, JobResult};
 pub use proto::{Outcome, Request, Response, WireSpec, MAX_FRAME};
 pub use server::{DaemonConfig, Server};

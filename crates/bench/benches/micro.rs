@@ -91,47 +91,38 @@ loop:
     run("machine_step_decode", false);
 }
 
-fn bench_batch_executors(c: &mut Criterion) {
-    use active_pages::parallel::{self, PoolMode};
+fn bench_batch_executor(c: &mut Criterion) {
     use active_pages::{ActivePageMemory, GroupId, PAGE_SIZE};
     use radram::{ExecMode, PageActivation, RadramConfig, System};
     use std::sync::Arc;
 
     // One 8-page activation batch per iteration on a live system: the
-    // pooled executor reuses persistent workers, the spawn executor pays
-    // per-batch `thread::scope` churn — the overhead the pool removes.
-    let mut run = |name: &str, mode: PoolMode| {
-        c.bench_function(name, |b| {
-            parallel::set_thread_budget(4);
-            parallel::set_pool_mode(Some(mode));
-            let pages = 8;
-            let mut sys = System::radram_mode(RadramConfig::reference(), ExecMode::Accurate);
-            let group = GroupId::new(2);
-            let base = sys.ap_alloc_pages(group, pages);
-            sys.ap_bind(group, Arc::new(DatabaseSearchFn));
-            let batch: Vec<PageActivation> = (0..pages)
-                .map(|p| {
-                    PageActivation::new(base + (p * PAGE_SIZE) as u64, 1)
-                        .with_param(sync::PARAM, 64)
-                })
-                .collect();
-            b.iter(|| {
-                sys.activate_pages(&batch);
-                for p in 0..pages {
-                    sys.wait_done(black_box(base + (p * PAGE_SIZE) as u64));
-                }
-            });
-            parallel::set_pool_mode(None);
+    // persistent pool's per-batch dispatch and merge cost.
+    c.bench_function("batch_activation_pooled", |b| {
+        active_pages::parallel::set_thread_budget(4);
+        let pages = 8;
+        let mut sys = System::radram_mode(RadramConfig::reference(), ExecMode::Accurate);
+        let group = GroupId::new(2);
+        let base = sys.ap_alloc_pages(group, pages);
+        sys.ap_bind(group, Arc::new(DatabaseSearchFn));
+        let batch: Vec<PageActivation> = (0..pages)
+            .map(|p| {
+                PageActivation::new(base + (p * PAGE_SIZE) as u64, 1).with_param(sync::PARAM, 64)
+            })
+            .collect();
+        b.iter(|| {
+            sys.activate_pages(&batch);
+            for p in 0..pages {
+                sys.wait_done(black_box(base + (p * PAGE_SIZE) as u64));
+            }
         });
-    };
-    run("batch_activation_pooled", PoolMode::Pooled);
-    run("batch_activation_spawn", PoolMode::Spawn);
+    });
 }
 
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
     targets = bench_cache_hierarchy, bench_synth, bench_page_function,
-        bench_machine_step, bench_batch_executors
+        bench_machine_step, bench_batch_executor
 }
 criterion_main!(benches);

@@ -25,65 +25,14 @@ fn main() {
     let quick = cli.is_quick();
 
     if cli.bench_wallclock {
-        println!("Wallclock page-scaling bench (sequential oracle vs. parallel executor)");
-        let points = ap_bench::wallclock::run(quick);
-        for p in &points {
-            println!(
-                "  {:>5} pages: sequential {:>8.3}s  parallel {:>8.3}s  speedup {:>5.2}x",
-                p.pages,
-                p.sequential_secs,
-                p.parallel_secs,
-                p.speedup()
-            );
+        println!("Host-timing benches: page scaling, fast mode, batch scaling");
+        let benches = ap_bench::hostbench::run(quick, cli.pages, cli.threads);
+        for bench in &benches {
+            print!("{}", bench.render());
         }
-        report_written(write_result_file(
-            "BENCH_page_scaling.json",
-            &ap_bench::wallclock::render_json(&points),
-        ));
-        println!("Fast-tier bench (accurate oracle vs. counted fast mode)");
-        let rows = ap_bench::fastmode::bench(quick);
-        for r in &rows {
-            println!(
-                "  {:<14} {:>6.2} pages: accurate {:>8.4}s  fast {:>8.4}s  speedup {:>6.2}x  \
-                 (oracle {:>6.2}x)  cycle err conv {:>+7.3} rad {:>+7.3}",
-                r.app.name(),
-                r.pages,
-                r.accurate_secs,
-                r.fast_secs,
-                r.wall_speedup(),
-                r.oracle_speedup(),
-                r.conv_error,
-                r.rad_error,
-            );
+        for path in ap_bench::hostbench::write(&benches) {
+            report_written(path);
         }
-        report_written(write_result_file(
-            "BENCH_fastmode.json",
-            &ap_bench::fastmode::render_json(&rows, quick),
-        ));
-        println!(
-            "Batch-scaling bench (database-xl: sequential oracle vs spawn vs pooled executor)"
-        );
-        let points = ap_bench::batchscale::run(quick, cli.pages, cli.threads);
-        for p in &points {
-            println!(
-                "  {:>5} pages ({:>8} records, {:>3} queries) @ {:>2} threads: \
-                 seq {:>7.3}s  spawn {:>7.3}s  pooled {:>7.3}s  \
-                 vs-spawn {:>5.2}x  vs-seq {:>5.2}x",
-                p.pages,
-                p.records,
-                p.queries,
-                p.threads,
-                p.sequential_secs,
-                p.spawn_secs,
-                p.pooled_secs,
-                p.speedup_vs_spawn(),
-                p.speedup_vs_sequential(),
-            );
-        }
-        report_written(write_result_file(
-            "BENCH_batch_scaling.json",
-            &ap_bench::batchscale::render_json(&points),
-        ));
         return;
     }
 
@@ -113,7 +62,7 @@ fn main() {
     }
     if cli.wants("fig3") || cli.wants("fig4") {
         let (mode, cross) = cli.mode_or(ap_bench::ExecMode::Accurate);
-        let data = experiments::fig3_fig4_mode(&runner, quick, mode);
+        let data = experiments::fig3_fig4(&runner, quick, mode);
         println!("Figure 3: RADram speedup as problem size varies ({mode} tier)");
         for (app, points) in &data {
             render::print_sweep(*app, points);
@@ -129,8 +78,7 @@ fn main() {
         }
         report_written(write_result_file("fig3_fig4.csv", &render::sweep_csv(&data)));
         if cross {
-            let accurate =
-                experiments::fig3_fig4_mode(&runner, quick, ap_bench::ExecMode::Accurate);
+            let accurate = experiments::fig3_fig4(&runner, quick, ap_bench::ExecMode::Accurate);
             let checks = ap_bench::fastmode::cross_check(&accurate, &data);
             let max = ap_bench::fastmode::max_error(&checks);
             let breaches = ap_bench::fastmode::envelope_breaches(&checks);
@@ -155,10 +103,7 @@ fn main() {
         }
         println!();
     }
-    if cli.wants("dse") || cli.wants("dse-smoke") {
-        if cli.wants("dse-smoke") {
-            eprintln!("warning: `dse-smoke` is deprecated; it now forwards to the `dse` sweep");
-        }
+    if cli.wants("dse") {
         let run = ap_bench::dse::run(&runner, quick, cli.mode);
         let r = &run.report;
         println!("Design-space sweep ({}, {} mode)", r.grid, r.mode);

@@ -3,9 +3,8 @@
 //! Kept in the library so the parser is unit-testable; the binary only
 //! renders errors and exits non-zero.
 
-use crate::runner::Runner;
+use crate::runner::{env_engine, Runner};
 use ap_apps::ExecMode;
-use ap_engine::Engine;
 use std::path::PathBuf;
 
 /// Every experiment target the binary accepts, with the one-line
@@ -24,7 +23,6 @@ pub const TARGETS: &[(&str, &str)] = &[
     ("fig8", "DRAM miss-latency sensitivity"),
     ("fig9", "reconfigurable-logic clock sensitivity"),
     ("dse", "design-space sweep with Pareto-front search (BENCH_dse.json)"),
-    ("dse-smoke", "deprecated alias for `dse` (kept for old scripts)"),
     ("database-xl", "million-record sharded database point (explicit only)"),
 ];
 
@@ -72,8 +70,8 @@ pub struct Cli {
     pub trace: Option<Option<PathBuf>>,
     /// Subsystems recorded when tracing (`--trace-filter LIST`, default all).
     pub trace_filter: ap_trace::Filter,
-    /// Run the host-wallclock page-scaling bench instead of the experiment
-    /// targets (`--bench-wallclock`).
+    /// Run the host-timing benches instead of the experiment targets
+    /// (`--bench-wallclock`).
     pub bench_wallclock: bool,
     /// Execution-tier selection (`--mode accurate|fast|both`). `None` keeps
     /// each target's default: accurate for the figures, the two-tier
@@ -120,8 +118,9 @@ pub fn usage() -> String {
          \x20                     sequential oracle on a page-count sweep and\n\
          \x20                     write BENCH_page_scaling.json, then time the\n\
          \x20                     fast tier against the accurate oracle and\n\
-         \x20                     write BENCH_fastmode.json, then sweep the\n\
-         \x20                     database-xl batch executors and write\n\
+         \x20                     write BENCH_fastmode.json, then time the\n\
+         \x20                     page-worker pool against the sequential\n\
+         \x20                     oracle on database-xl and write\n\
          \x20                     BENCH_batch_scaling.json\n\
          \x20 --pages N           with --bench-wallclock: add a batch-scaling\n\
          \x20                     point at N pages beyond the built-in sweep\n\
@@ -243,12 +242,11 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String>
 }
 
 impl Cli {
-    /// True when `name` (or `all`) was requested. The DSE targets (`dse`
-    /// and its deprecated `dse-smoke` alias) and the `database-xl` scaling
-    /// point are explicit only — `all` reproduces the paper's figures, not
-    /// the extension sweeps.
+    /// True when `name` (or `all`) was requested. The `dse` sweep and the
+    /// `database-xl` scaling point are explicit only — `all` reproduces the
+    /// paper's figures, not the extension sweeps.
     pub fn wants(&self, name: &str) -> bool {
-        if name == "dse" || name == "dse-smoke" || name == "database-xl" {
+        if name == "dse" || name == "database-xl" {
             return self.target == name;
         }
         self.target == "all" || self.target == name
@@ -273,14 +271,11 @@ impl Cli {
     /// Builds the engine-backed runner this invocation asked for: environment
     /// defaults, then the command-line overrides.
     pub fn runner(&self) -> Runner {
-        let mut engine = Engine::from_env();
-        if engine.cache_dir().is_none() {
-            engine = engine.with_cache_dir(crate::results_dir().join(".ap-cache"));
-        }
+        let mut engine = env_engine();
         if let Some(jobs) = self.jobs {
             engine = engine.with_workers(jobs);
         }
-        if self.no_cache || crate::env_flag("AP_NO_CACHE") {
+        if self.no_cache {
             engine = engine.without_cache();
         }
         engine = engine.with_manifest(self.manifest_path());
@@ -384,13 +379,11 @@ mod tests {
     }
 
     #[test]
-    fn dse_targets_are_explicit_but_not_part_of_all() {
+    fn dse_target_is_explicit_but_not_part_of_all() {
         let cli = parse(&["dse"]).unwrap();
-        assert!(cli.wants("dse") && !cli.wants("dse-smoke") && !cli.wants("fig3"));
-        let cli = parse(&["dse-smoke"]).unwrap();
-        assert!(cli.wants("dse-smoke") && !cli.wants("dse"));
+        assert!(cli.wants("dse") && !cli.wants("fig3"));
         let all = parse(&[]).unwrap();
-        assert!(!all.wants("dse") && !all.wants("dse-smoke"), "`all` must not sweep the DSE grid");
+        assert!(!all.wants("dse"), "`all` must not sweep the DSE grid");
     }
 
     #[test]

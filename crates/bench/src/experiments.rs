@@ -1,7 +1,7 @@
 //! Generators for every table and figure of the evaluation.
 
 use crate::runner::{RunSpec, Runner};
-use crate::sweep::{run_sweeps, run_sweeps_mode, SweepPoint};
+use crate::sweep::{run_sweeps, SweepPoint};
 use ap_analytic::{calibrate, pearson, Calibration, Fig1Point};
 use ap_apps::{speedup, App, ExecMode, SystemKind};
 use ap_synth::report::Table3Row;
@@ -42,15 +42,11 @@ pub fn table3() -> Vec<Table3Row> {
 }
 
 /// Figures 3 and 4: the speedup and non-overlap sweeps for every kernel,
-/// submitted to the engine as one batch.
-pub fn fig3_fig4(runner: &Runner, quick: bool) -> Vec<(App, Vec<SweepPoint>)> {
-    fig3_fig4_mode(runner, quick, ExecMode::Accurate)
-}
-
-/// [`fig3_fig4`] on the chosen execution tier (`--mode fast` trades exact
-/// cycle counts for wall-clock; see DESIGN.md §13).
-pub fn fig3_fig4_mode(runner: &Runner, quick: bool, mode: ExecMode) -> Vec<(App, Vec<SweepPoint>)> {
-    run_sweeps_mode(runner, &App::ALL, &RadramConfig::reference(), quick, mode)
+/// submitted to the engine as one batch on the chosen execution tier
+/// (`--mode fast` trades exact cycle counts for wall-clock; see DESIGN.md
+/// §13).
+pub fn fig3_fig4(runner: &Runner, quick: bool, mode: ExecMode) -> Vec<(App, Vec<SweepPoint>)> {
+    run_sweeps(runner, &App::ALL, &RadramConfig::reference(), quick, mode)
 }
 
 /// One Figure 5 series: execution time vs. L1 data-cache size.
@@ -238,7 +234,7 @@ pub fn table4(runner: &Runner, quick: bool) -> Vec<Table4Row> {
         .collect();
     let calibrations = runner.run(cal_specs);
     // Second batch: the full Figure 3 sweeps the correlation is scored on.
-    let sweeps = run_sweeps(runner, &apps, &cfg, quick);
+    let sweeps = run_sweeps(runner, &apps, &cfg, quick, ExecMode::Accurate);
 
     apps.into_iter()
         .zip(calibrations)

@@ -1,6 +1,6 @@
-//! Two-tier execution harness: fast-vs-accurate cross-checks and the
-//! `BENCH_fastmode.json` speed/error bench (DESIGN.md §13). The DSE grids
-//! that used to live here moved to the `ap-dse` crate (DESIGN.md §15).
+//! Two-tier execution audit: fast-vs-accurate cross-checks (DESIGN.md
+//! §13). The `BENCH_fastmode.json` speed/error bench built on them lives in
+//! [`crate::hostbench`].
 //!
 //! The fast tier (`ExecMode::Fast`) runs full application semantics but
 //! replaces per-access hierarchy simulation with counted estimates, so it
@@ -12,42 +12,17 @@
 //!   documented error envelope ([`CYCLE_ERROR_ENVELOPE`]), in the style of
 //!   the Ramulator 2.0 re-evaluation papers: the fast tier is only useful if
 //!   its error is *quantified*, not merely assumed small.
-//!
-//! The wall-clock rows reuse the host-timing machinery of the
-//! `--bench-wallclock` harness (`radram::take_kernel_host_secs`), so
-//! `BENCH_page_scaling.json` and `BENCH_fastmode.json` come from one
-//! measurement path.
 
 use crate::sweep::SweepPoint;
-use ap_apps::{App, ExecMode, RunReport, SystemKind};
-use radram::{take_kernel_host_secs, RadramConfig};
+use ap_apps::{App, RunReport, SystemKind};
 
 /// Documented bound on the fast tier's signed relative kernel-cycle error,
 /// per point, against the accurate oracle. The measured maximum over the
-/// full Figure 3/4 sweep (170 runs) is 0.349 and over the legacy DSE smoke
-/// grid 0.346 (see `BENCH_fastmode.json`); the dominant contributors are
+/// full Figure 3/4 sweep (170 runs) is 0.349 (see `BENCH_fastmode.json`); the dominant contributors are
 /// the no-op `invalidate_range` and the unmodelled branch predictor. CI,
 /// `--mode both`, and the `dse` promotion pipeline fail any point outside
 /// this bound.
 pub const CYCLE_ERROR_ENVELOPE: f64 = 0.40;
-
-/// The Figure 3 database point the ≥ 5x wall-clock gate is scored on. The
-/// gate compares the **conventional (oracle-simulation) component** of the
-/// run: RADram page kernels execute in bulk on host slices in *both* tiers
-/// (per-access hierarchy modelling exists only on the processor side), so
-/// the processor-side scan is where the fast tier can — and must — win.
-///
-/// 16 pages (an 8 MB address book) is the largest point with headroom: past
-/// that both tiers become bound by the *host's* memory bandwidth streaming
-/// the same record heads, and the ratio converges toward ~5x regardless of
-/// how little modelling the fast tier does (DESIGN.md §13).
-pub fn gate_pages(quick: bool) -> f64 {
-    if quick {
-        8.0
-    } else {
-        16.0
-    }
-}
 
 /// One fast-vs-accurate comparison of a single run.
 #[derive(Debug, Clone)]
@@ -133,184 +108,11 @@ pub fn envelope_breaches(checks: &[CrossCheck]) -> Vec<&CrossCheck> {
     checks.iter().filter(|c| c.relative_error().abs() > CYCLE_ERROR_ENVELOPE).collect()
 }
 
-/// One app's row of the `BENCH_fastmode.json` bench: wall-clock on both
-/// tiers plus the fast tier's error on each reported metric.
-#[derive(Debug, Clone)]
-pub struct FastmodeRow {
-    /// Application kernel.
-    pub app: App,
-    /// Problem size in pages.
-    pub pages: f64,
-    /// Host seconds inside kernel regions, both systems, accurate tier
-    /// (minimum over repeats).
-    pub accurate_secs: f64,
-    /// Host seconds inside kernel regions, both systems, fast tier.
-    pub fast_secs: f64,
-    /// Host seconds of the conventional (oracle-simulation) run alone,
-    /// accurate tier.
-    pub accurate_conv_secs: f64,
-    /// Host seconds of the conventional run alone, fast tier.
-    pub fast_conv_secs: f64,
-    /// Signed relative error on conventional kernel cycles.
-    pub conv_error: f64,
-    /// Signed relative error on RADram kernel cycles.
-    pub rad_error: f64,
-    /// Signed relative error on the RADram-vs-conventional speedup.
-    pub speedup_error: f64,
-}
-
-impl FastmodeRow {
-    /// Wall-clock speedup of the fast tier over the accurate oracle, both
-    /// systems combined.
-    pub fn wall_speedup(&self) -> f64 {
-        self.accurate_secs / self.fast_secs.max(1e-9)
-    }
-
-    /// Wall-clock speedup on the conventional (oracle-simulation) component
-    /// alone — the metric the ≥ 5x gate is scored on (see [`gate_pages`]).
-    pub fn oracle_speedup(&self) -> f64 {
-        self.accurate_conv_secs / self.fast_conv_secs.max(1e-9)
-    }
-}
-
-/// Runs `app` at `pages` on both systems on one tier, in-thread, returning
-/// the host seconds spent inside the conventional and RADram kernel regions
-/// (separately) plus the two reports.
-fn measure(
-    app: App,
-    pages: f64,
-    cfg: &RadramConfig,
-    mode: ExecMode,
-) -> (f64, f64, RunReport, RunReport) {
-    let _ = take_kernel_host_secs(); // drain anything a previous caller left
-    let conv = app.run_mode(SystemKind::Conventional, pages, cfg, mode);
-    let conv_secs = take_kernel_host_secs();
-    let rad = app.run_mode(SystemKind::Radram, pages, cfg, mode);
-    (conv_secs, take_kernel_host_secs(), conv, rad)
-}
-
-fn rel_err(fast: f64, accurate: f64) -> f64 {
-    if accurate == 0.0 {
-        return 0.0;
-    }
-    (fast - accurate) / accurate
-}
-
-/// Runs the fast-mode bench: every kernel at a fixed envelope size plus the
-/// Figure 3 database gate point, each timed on both tiers (minimum over
-/// repeats) and cross-checked for functional identity.
-///
-/// # Panics
-///
-/// Panics if any checksum differs between tiers, or if the fast tier is
-/// less than 5x faster than the accurate oracle on the conventional
-/// component of the database gate point (see [`gate_pages`]).
-pub fn bench(quick: bool) -> Vec<FastmodeRow> {
-    let cfg = RadramConfig::reference();
-    let repeats = if quick { 1 } else { 2 };
-    let envelope_pages = if quick { 2.0 } else { 8.0 };
-    let mut rows = Vec::new();
-    let mut points: Vec<(App, f64)> = App::ALL.map(|app| (app, envelope_pages)).to_vec();
-    points.push((App::Database, gate_pages(quick)));
-    for (app, pages) in points {
-        let (mut accurate_secs, mut accurate_conv_secs) = (f64::INFINITY, f64::INFINITY);
-        let (mut fast_secs, mut fast_conv_secs) = (f64::INFINITY, f64::INFINITY);
-        let (mut acc, mut fst) = (None, None);
-        for _ in 0..repeats {
-            let (conv_secs, rad_secs, conv, rad) = measure(app, pages, &cfg, ExecMode::Accurate);
-            accurate_secs = accurate_secs.min(conv_secs + rad_secs);
-            accurate_conv_secs = accurate_conv_secs.min(conv_secs);
-            acc = Some((conv, rad));
-            let (conv_secs, rad_secs, conv, rad) = measure(app, pages, &cfg, ExecMode::Fast);
-            fast_secs = fast_secs.min(conv_secs + rad_secs);
-            fast_conv_secs = fast_conv_secs.min(conv_secs);
-            fst = Some((conv, rad));
-        }
-        let (a_conv, a_rad) = acc.expect("at least one repeat");
-        let (f_conv, f_rad) = fst.expect("at least one repeat");
-        let conv_check = check_pair(app, pages, &a_conv, &f_conv);
-        let rad_check = check_pair(app, pages, &a_rad, &f_rad);
-        let a_speedup = a_conv.kernel_cycles as f64 / a_rad.kernel_cycles.max(1) as f64;
-        let f_speedup = f_conv.kernel_cycles as f64 / f_rad.kernel_cycles.max(1) as f64;
-        rows.push(FastmodeRow {
-            app,
-            pages,
-            accurate_secs,
-            fast_secs,
-            accurate_conv_secs,
-            fast_conv_secs,
-            conv_error: conv_check.relative_error(),
-            rad_error: rad_check.relative_error(),
-            speedup_error: rel_err(f_speedup, a_speedup),
-        });
-    }
-    let gate = rows
-        .iter()
-        .find(|r| r.app == App::Database && r.pages == gate_pages(quick))
-        .expect("gate row present");
-    assert!(
-        gate.oracle_speedup() >= 5.0,
-        "fast tier must be >= 5x faster on the oracle-simulation (conventional) component of \
-         the Figure 3 database point: got {:.2}x (accurate {:.4}s, fast {:.4}s)",
-        gate.oracle_speedup(),
-        gate.accurate_conv_secs,
-        gate.fast_conv_secs,
-    );
-    rows
-}
-
-/// Renders the bench as the `BENCH_fastmode.json` payload (schema v1).
-pub fn render_json(rows: &[FastmodeRow], quick: bool) -> String {
-    let gate = rows.iter().find(|r| r.app == App::Database && r.pages == gate_pages(quick));
-    let max_cycle_err =
-        rows.iter().flat_map(|r| [r.conv_error.abs(), r.rad_error.abs()]).fold(0.0, f64::max);
-    let max_speedup_err = rows.iter().map(|r| r.speedup_error.abs()).fold(0.0, f64::max);
-    let mut s = String::from("{\n  \"schema\": 1,\n  \"bench\": \"fastmode\",\n");
-    s.push_str(&format!("  \"quick\": {quick},\n"));
-    s.push_str(&format!(
-        "  \"documented_cycle_error_envelope\": {CYCLE_ERROR_ENVELOPE},\n\
-         \x20 \"max_cycle_error\": {max_cycle_err:.6},\n\
-         \x20 \"max_speedup_error\": {max_speedup_err:.6},\n"
-    ));
-    if let Some(g) = gate {
-        s.push_str(&format!(
-            "  \"gate\": {{\"app\": \"database\", \"pages\": {}, \"oracle_wall_speedup\": {:.3}, \
-             \"combined_wall_speedup\": {:.3}, \"required\": 5.0, \
-             \"scored_on\": \"conventional component\"}},\n",
-            g.pages,
-            g.oracle_speedup(),
-            g.wall_speedup()
-        ));
-    }
-    s.push_str("  \"rows\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"app\": \"{}\", \"pages\": {}, \"accurate_secs\": {:.6}, \
-             \"fast_secs\": {:.6}, \"accurate_conv_secs\": {:.6}, \"fast_conv_secs\": {:.6}, \
-             \"wall_speedup\": {:.3}, \"oracle_wall_speedup\": {:.3}, \
-             \"conv_cycle_error\": {:.6}, \"rad_cycle_error\": {:.6}, \
-             \"speedup_error\": {:.6}}}{}\n",
-            r.app.name(),
-            r.pages,
-            r.accurate_secs,
-            r.fast_secs,
-            r.accurate_conv_secs,
-            r.fast_conv_secs,
-            r.wall_speedup(),
-            r.oracle_speedup(),
-            r.conv_error,
-            r.rad_error,
-            r.speedup_error,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ap_apps::ExecMode;
+    use radram::RadramConfig;
 
     #[test]
     fn cross_check_accepts_identical_answers_and_scores_errors() {

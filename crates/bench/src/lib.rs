@@ -23,23 +23,22 @@
 //! ap_bench::render::print_table3(&rows);
 //!
 //! let runner = ap_bench::runner::Runner::from_env();
-//! let data = ap_bench::experiments::fig3_fig4(&runner, true);
+//! let data = ap_bench::experiments::fig3_fig4(&runner, true, ap_bench::ExecMode::Accurate);
 //! println!("{}", ap_bench::render::sweep_csv(&data));
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batchscale;
 pub mod cli;
 pub mod dse;
 pub mod experiments;
 pub mod fastmode;
+pub mod hostbench;
 pub mod lint_corpus;
 pub mod render;
 pub mod runner;
 pub mod sweep;
-pub mod wallclock;
 
 pub use ap_apps::ExecMode;
 

@@ -110,6 +110,19 @@ fn record_session_metrics(r: &RunReport) {
     session::count("dispatch.cycles", r.dispatch_cycles);
 }
 
+/// The engine [`Runner::from_env`] runs on: the one place the harness
+/// reads its engine settings. Command-line overrides apply on top.
+pub(crate) fn env_engine() -> Engine {
+    let mut engine = Engine::from_env();
+    if engine.cache_dir().is_none() {
+        engine = engine.with_cache_dir(crate::results_dir().join(".ap-cache"));
+    }
+    if crate::env_flag("AP_NO_CACHE") {
+        engine = engine.without_cache();
+    }
+    engine
+}
+
 /// Executes batches of [`RunSpec`]s on an [`Engine`].
 #[derive(Debug, Clone)]
 pub struct Runner {
@@ -121,14 +134,7 @@ impl Runner {
     /// `AP_JOB_TIMEOUT_SECS`), with the disk cache defaulting to
     /// `<results dir>/.ap-cache` unless `AP_NO_CACHE` is set.
     pub fn from_env() -> Runner {
-        let mut engine = Engine::from_env();
-        if engine.cache_dir().is_none() {
-            engine = engine.with_cache_dir(crate::results_dir().join(".ap-cache"));
-        }
-        if crate::env_flag("AP_NO_CACHE") {
-            engine = engine.without_cache();
-        }
-        Runner::with_engine(engine)
+        Runner::with_engine(env_engine())
     }
 
     /// A runner over an explicitly configured engine. The engine's salt is

@@ -49,7 +49,7 @@ pub fn size_grid(app: App, quick: bool) -> Vec<f64> {
         App::Median | App::DynProg => {
             sizes.push(64.0);
         }
-        // The scaling workload is swept by `batchscale`, not the figures;
+        // The scaling workload is swept by `hostbench`, not the figures;
         // a figure-style sweep of it gets the standard grid.
         App::DatabaseXl => {}
     }
@@ -66,7 +66,10 @@ pub fn run_point(app: App, pages: f64, cfg: &RadramConfig) -> SweepPoint {
 
 /// Runs the full size sweep for `app` through the engine.
 pub fn run_sweep(runner: &Runner, app: App, cfg: &RadramConfig, quick: bool) -> Vec<SweepPoint> {
-    run_sweeps(runner, &[app], cfg, quick).pop().map(|(_, points)| points).unwrap_or_default()
+    run_sweeps(runner, &[app], cfg, quick, ExecMode::Accurate)
+        .pop()
+        .map(|(_, points)| points)
+        .unwrap_or_default()
 }
 
 /// The exact [`RunSpec`] batch behind the Figure 3/4 sweeps for `apps`:
@@ -88,21 +91,11 @@ pub fn sweep_specs(apps: &[App], cfg: &RadramConfig, quick: bool, mode: ExecMode
     specs
 }
 
-/// [`run_sweeps`] on the accurate tier.
+/// Runs the size sweeps for several applications as **one** engine batch on
+/// the given execution tier, so every point of every app shares the worker
+/// pool. A point whose job failed (panic, deadline) is dropped with a
+/// warning; the surviving points keep the figure usable.
 pub fn run_sweeps(
-    runner: &Runner,
-    apps: &[App],
-    cfg: &RadramConfig,
-    quick: bool,
-) -> Vec<(App, Vec<SweepPoint>)> {
-    run_sweeps_mode(runner, apps, cfg, quick, ExecMode::Accurate)
-}
-
-/// Runs the size sweeps for several applications as **one** engine batch, so
-/// every point of every app shares the worker pool. A point whose job failed
-/// (panic, deadline) is dropped with a warning; the surviving points keep
-/// the figure usable.
-pub fn run_sweeps_mode(
     runner: &Runner,
     apps: &[App],
     cfg: &RadramConfig,

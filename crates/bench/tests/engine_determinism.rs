@@ -4,7 +4,7 @@
 //! a single point.
 
 use ap_bench::runner::Runner;
-use ap_bench::{experiments, render};
+use ap_bench::{experiments, render, ExecMode};
 use ap_engine::{manifest, Engine};
 use std::path::PathBuf;
 
@@ -27,14 +27,15 @@ fn fig3_csv_is_byte_identical_across_worker_counts_and_cache_warmth() {
     let serial = Runner::with_engine(
         Engine::new().with_workers(1).without_cache().with_manifest(&serial_manifest),
     );
-    let serial_csv = render::sweep_csv(&experiments::fig3_fig4(&serial, true));
+    let serial_csv = render::sweep_csv(&experiments::fig3_fig4(&serial, true, ExecMode::Accurate));
 
     // Four workers (AP_JOBS=4 equivalent), cold cache: must produce the same
     // bytes even though completion order differs, and fills the cache.
     let parallel = Runner::with_engine(
         Engine::new().with_workers(4).with_cache_dir(&cache).with_manifest(&parallel_manifest),
     );
-    let parallel_csv = render::sweep_csv(&experiments::fig3_fig4(&parallel, true));
+    let parallel_csv =
+        render::sweep_csv(&experiments::fig3_fig4(&parallel, true, ExecMode::Accurate));
     assert_eq!(serial_csv, parallel_csv, "CSV must not depend on the worker count");
 
     let serial_summary = manifest::summarize(&serial_manifest).unwrap();
@@ -48,7 +49,7 @@ fn fig3_csv_is_byte_identical_across_worker_counts_and_cache_warmth() {
     let warm = Runner::with_engine(
         Engine::new().with_workers(4).with_cache_dir(&cache).with_manifest(&warm_manifest),
     );
-    let warm_csv = render::sweep_csv(&experiments::fig3_fig4(&warm, true));
+    let warm_csv = render::sweep_csv(&experiments::fig3_fig4(&warm, true, ExecMode::Accurate));
     assert_eq!(serial_csv, warm_csv, "cache replay must reproduce the exact bytes");
 
     let warm_summary = manifest::summarize(&warm_manifest).unwrap();

@@ -34,10 +34,6 @@
 //! merge in submission order (the deferred-execute schedule in
 //! `ap_radram::System`) observe the same bytes as the sequential oracle.
 //!
-//! The legacy spawn-per-batch executor is kept selectable via [`PoolMode`]
-//! (or `AP_POOL=spawn`) so benchmarks can measure the pre-pool executor
-//! in-process.
-//!
 //! # Safety
 //!
 //! This module is the one place in the crate that uses `unsafe`. Two
@@ -121,48 +117,6 @@ pub fn effective_threads(requested: usize) -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     let cores = *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
     requested.clamp(1, cores)
-}
-
-/// Which executor a batched activation should use for its parallel phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PoolMode {
-    /// The persistent page-worker pool with lock-free chunked claiming.
-    Pooled,
-    /// The legacy spawn-per-batch executor (`std::thread::scope` plus a
-    /// mutexed job iterator), kept for benchmarking the pre-pool cost.
-    Spawn,
-}
-
-/// 0 = unset (default [`PoolMode::Pooled`]), 1 = pooled, 2 = spawn.
-static FORCED_MODE: AtomicUsize = AtomicUsize::new(0);
-
-/// Forces the executor choice for this process, overriding the default but
-/// not the `AP_POOL` environment variable. `None` restores the default.
-pub fn set_pool_mode(mode: Option<PoolMode>) {
-    let v = match mode {
-        None => 0,
-        Some(PoolMode::Pooled) => 1,
-        Some(PoolMode::Spawn) => 2,
-    };
-    FORCED_MODE.store(v, Ordering::Relaxed);
-}
-
-/// The executor the parallel phase should use.
-///
-/// Resolution order: `AP_POOL` environment variable (`pooled` or `spawn`),
-/// then [`set_pool_mode`], then the default ([`PoolMode::Pooled`]).
-pub fn pool_mode() -> PoolMode {
-    if let Ok(v) = std::env::var("AP_POOL") {
-        match v.trim() {
-            "spawn" => return PoolMode::Spawn,
-            "pooled" | "pool" => return PoolMode::Pooled,
-            _ => {}
-        }
-    }
-    match FORCED_MODE.load(Ordering::Relaxed) {
-        2 => PoolMode::Spawn,
-        _ => PoolMode::Pooled,
-    }
 }
 
 /// Cumulative counters for the persistent page-worker pool.
@@ -299,8 +253,8 @@ unsafe impl<T: Send> Sync for Slot<T> {}
 /// which is exactly the sequential oracle's order.
 ///
 /// If `f` panics on any job the panic is propagated to the caller after all
-/// workers have quiesced, matching the legacy scoped executor's behavior;
-/// the pool threads themselves survive for future batches.
+/// workers have quiesced, as `std::thread::scope` would; the pool threads
+/// themselves survive for future batches.
 ///
 /// # Examples
 ///
@@ -420,16 +374,5 @@ mod tests {
         assert!(caught.is_err());
         // The pool survives a poisoned batch and keeps serving.
         assert_eq!(run_batch(vec![1u32, 2, 3], 4, |j| j * 10), vec![10, 20, 30]);
-    }
-
-    #[test]
-    fn pool_mode_forcing_round_trips() {
-        assert_eq!(pool_mode(), PoolMode::Pooled);
-        set_pool_mode(Some(PoolMode::Spawn));
-        assert_eq!(pool_mode(), PoolMode::Spawn);
-        set_pool_mode(Some(PoolMode::Pooled));
-        assert_eq!(pool_mode(), PoolMode::Pooled);
-        set_pool_mode(None);
-        assert_eq!(pool_mode(), PoolMode::Pooled);
     }
 }

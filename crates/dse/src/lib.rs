@@ -17,10 +17,7 @@
 //!   promotes only front-adjacent survivors to the expensive tier;
 //! * [`report`] — the schema-versioned `BENCH_dse.json` payload, the
 //!   deterministic `BENCH_dse_front.json` companion, and a human-readable
-//!   front table;
-//! * [`smoke`] — the legacy `dse-smoke` problem-size ladder, kept as a
-//!   deprecated compatibility surface (the target itself now forwards to
-//!   the full `dse` pipeline).
+//!   front table.
 //!
 //! The crate is deliberately engine-agnostic: it depends only on the
 //! application and configuration models, so the batch harness
@@ -35,4 +32,3 @@ pub mod collect;
 pub mod grid;
 pub mod pareto;
 pub mod report;
-pub mod smoke;

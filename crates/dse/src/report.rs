@@ -8,7 +8,6 @@
 //! the front file to prove the pipeline deterministic.
 
 use crate::grid::DseConfig;
-use crate::smoke::DseSummary;
 
 /// Version of the `BENCH_dse.json` / `BENCH_dse_front.json` schema.
 pub const DSE_SCHEMA: u32 = 1;
@@ -170,15 +169,6 @@ impl DseReport {
         ));
         out
     }
-
-    /// Summary in the legacy `dse-smoke` shape, for the deprecated alias.
-    pub fn summary(&self) -> DseSummary {
-        DseSummary {
-            points: self.triage_points,
-            failed: self.incomplete,
-            max_cycle_error: (self.promoted > 0).then_some(self.max_promoted_error),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -250,8 +240,5 @@ mod tests {
         let t = report().table();
         assert!(t.contains("database"), "{t}");
         assert!(t.contains("front 1 / 4 points"), "{t}");
-        let s = report().summary();
-        assert_eq!(s.points, 4);
-        assert!((s.max_cycle_error.unwrap() - 0.12).abs() < 1e-12);
     }
 }

@@ -6,6 +6,7 @@
 //! behaviour without re-simulating anything.
 
 use crate::job::{JobError, JobOutcome};
+use ap_trace::json::quote;
 use std::io::Write as _;
 use std::path::Path;
 
@@ -65,41 +66,25 @@ impl Entry {
     /// Serializes the entry as one JSON line (no trailing newline).
     pub fn to_json(&self) -> String {
         let mut s = format!(
-            "{{\"key\":\"{}\",\"outcome\":\"{}\",\"cache\":\"{}\",\"wall_ms\":{:.3},\"worker\":{}",
-            escape(&self.key),
+            "{{\"key\":{},\"outcome\":\"{}\",\"cache\":\"{}\",\"wall_ms\":{:.3},\"worker\":{}",
+            quote(&self.key),
             self.outcome,
             if self.cache_hit { "hit" } else { "miss" },
             self.wall_ms,
             self.worker
         );
         if let Some(e) = &self.error {
-            s.push_str(&format!(",\"error\":\"{}\"", escape(e)));
+            s.push_str(&format!(",\"error\":{}", quote(e)));
         }
         if let Some(d) = self.diag {
             s.push_str(&format!(",\"diag_errors\":{},\"diag_warnings\":{}", d.errors, d.warnings));
         }
         if let Some(t) = &self.trace {
-            s.push_str(&format!(",\"trace\":\"{}\"", escape(t)));
+            s.push_str(&format!(",\"trace\":{}", quote(t)));
         }
         s.push('}');
         s
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Appends one line per outcome to the manifest at `path`.

@@ -15,7 +15,7 @@ use ap_mem::{AccessTap, VAddr};
 use ap_trace::Subsystem::Radram as TRACE_RAD;
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 const PAGE_SHIFT: u32 = 19; // 512 KB pages
 const PAGE_MASK: u64 = PAGE_SIZE as u64 - 1;
@@ -35,6 +35,14 @@ pub fn set_force_sequential(on: bool) {
 /// variable at `System` construction) disabled parallel page execution.
 pub fn force_sequential() -> bool {
     FORCE_SEQUENTIAL.load(Ordering::Relaxed)
+}
+
+/// Host threads a parallel batch runs on: the page-thread budget capped at
+/// the host's cores. Batch eligibility and execution share this one rule,
+/// so an unaudited batch never pays for deferral and merge only to run
+/// inline.
+fn page_threads() -> usize {
+    active_pages::parallel::effective_threads(active_pages::parallel::thread_budget())
 }
 
 /// Process-wide override enabling the dynamic access sanitizer.
@@ -1265,10 +1273,15 @@ impl System {
 
     /// True when `batch` can take the deferred/parallel path: Active-Page
     /// memory with processor-mediated communication, no sequential
-    /// override, more than one worker available, and a batch of distinct,
-    /// unblocked pages with an empty pending queue. Pages that are merely
-    /// *busy* are fine — phase A stalls them out inline exactly as the
-    /// sequential path would.
+    /// override, a page-thread budget of at least two, and a batch of
+    /// distinct, unblocked pages with an empty pending queue. Pages that are
+    /// merely *busy* are fine — phase A stalls them out inline exactly as
+    /// the sequential path would.
+    ///
+    /// The deferral must also buy something: at least two host threads to
+    /// run on, or the race audit. A sanitized batch defers even on a 1-core
+    /// host, where it runs inline, so the audit never depends on the host's
+    /// core count.
     fn batch_parallel_eligible(&self, batch: &[PageActivation]) -> bool {
         let Some(rad) = self.rad.as_ref() else { return false };
         if batch.len() < 2
@@ -1276,6 +1289,7 @@ impl System {
             || force_sequential()
             || self.cfg.comm == crate::CommMode::HardwareCopy
             || active_pages::parallel::thread_budget() < 2
+            || (page_threads() < 2 && !(self.sanitize || force_sanitize()))
             || !rad.pending.is_empty()
         {
             return false;
@@ -1319,17 +1333,13 @@ impl System {
 
     /// Runs the deferred page functions in parallel over disjoint slices.
     ///
-    /// The default executor ([`active_pages::parallel::PoolMode::Pooled`])
-    /// dispatches `(index, slice)` jobs onto the persistent page-worker
-    /// pool, which claims them through an atomic cursor with adaptive
-    /// chunking; `PoolMode::Spawn` (or `AP_POOL=spawn`) selects the legacy
-    /// spawn-per-batch executor — a fresh `std::thread::scope` pulling jobs
-    /// from a mutexed queue — kept so benchmarks can measure the pre-pool
-    /// cost in-process. Either way results come back keyed by deferral
-    /// order regardless of which thread ran them, so the deterministic
-    /// merge is executor-independent. Returns one `(Execution, access
-    /// log)` per deferred entry, in order; the log is `Some` only when
-    /// `sanitize` asked for recording.
+    /// `(index, slice)` jobs go onto the persistent page-worker pool
+    /// ([`active_pages::parallel::run_batch`]), which claims them through an
+    /// atomic cursor with adaptive chunking and hands results back keyed by
+    /// deferral order regardless of which thread ran them, so the
+    /// deterministic merge is thread-count independent. Returns one
+    /// `(Execution, access log)` per deferred entry, in order; the log is
+    /// `Some` only when `sanitize` asked for recording.
     fn execute_parallel(
         &mut self,
         deferred: &[DeferredExec],
@@ -1348,54 +1358,17 @@ impl System {
         let region = self.cpu.ram.slice_mut(lo, (hi - lo.get()) as usize);
         let slices = active_pages::split_pages(region, lo, &infos);
 
-        let threads = active_pages::parallel::thread_budget().min(slices.len()).max(1);
-        let mut results: Vec<Option<(Execution, Option<PageFootprint>)>> =
-            (0..deferred.len()).map(|_| None).collect();
-        match active_pages::parallel::pool_mode() {
-            active_pages::parallel::PoolMode::Pooled => {
-                // The budget is a cap, not a target: the pool never runs
-                // more threads than the host has cores (the legacy spawn
-                // arm below keeps the pre-pool behaviour verbatim).
-                let threads = active_pages::parallel::effective_threads(threads);
-                let jobs: Vec<(usize, PageSlice<'_>)> = order.into_iter().zip(slices).collect();
-                let executed =
-                    active_pages::parallel::run_batch(jobs, threads, |(i, mut slice)| {
-                        if sanitize {
-                            slice.record_accesses();
-                        }
-                        let execution = deferred[i].func.execute(&mut slice);
-                        (i, execution, slice.take_access_log())
-                    });
-                for (i, execution, log) in executed {
-                    results[i] = Some((execution, log));
-                }
+        let threads = page_threads();
+        let jobs: Vec<(usize, PageSlice<'_>)> = order.into_iter().zip(slices).collect();
+        let mut executed = active_pages::parallel::run_batch(jobs, threads, |(i, mut slice)| {
+            if sanitize {
+                slice.record_accesses();
             }
-            active_pages::parallel::PoolMode::Spawn => {
-                let jobs = Mutex::new(order.into_iter().zip(slices));
-                let (tx, rx) = std::sync::mpsc::channel();
-                std::thread::scope(|scope| {
-                    for _ in 0..threads {
-                        let tx = tx.clone();
-                        let jobs = &jobs;
-                        scope.spawn(move || loop {
-                            let job = jobs.lock().unwrap().next();
-                            let Some((i, mut slice)) = job else { return };
-                            if sanitize {
-                                slice.record_accesses();
-                            }
-                            let execution = deferred[i].func.execute(&mut slice);
-                            let log = slice.take_access_log();
-                            let _ = tx.send((i, execution, log));
-                        });
-                    }
-                });
-                drop(tx);
-                for (i, execution, log) in rx {
-                    results[i] = Some((execution, log));
-                }
-            }
-        }
-        results.into_iter().map(|r| r.expect("every deferred page must execute")).collect()
+            let execution = deferred[i].func.execute(&mut slice);
+            (i, execution, slice.take_access_log())
+        });
+        executed.sort_unstable_by_key(|&(i, ..)| i);
+        executed.into_iter().map(|(_, execution, log)| (execution, log)).collect()
     }
 }
 
@@ -1777,34 +1750,43 @@ mod tests {
         }
     }
 
+    /// Asserts that `run(sequential, sanitize)` — one batch of page
+    /// activations, returning its observable outcome and the host-side
+    /// batch audit — agrees between the sequential oracle, a plain batch
+    /// and a sanitized batch. The sanitized batch defers on any host, so
+    /// the deferred path and merge are compared even where a plain batch
+    /// runs sequentially for want of a second core.
+    fn assert_batch_paths_agree<T: PartialEq + std::fmt::Debug>(
+        run: impl Fn(bool, bool) -> (T, RaceAudit),
+    ) {
+        let (oracle, _) = run(true, false);
+        assert_eq!(run(false, false).0, oracle, "plain batch vs sequential");
+        let (sanitized, audit) = run(false, true);
+        assert_eq!(sanitized, oracle, "sanitized batch vs sequential");
+        assert_eq!(audit.proven_batches + audit.unknown_batches, 1, "sanitized batch deferred");
+    }
+
     #[test]
     fn batched_activation_matches_manual_loop() {
         active_pages::parallel::set_thread_budget(4);
         let pages = 6;
-        let (mut seq, seq_base, _) = summer_setup(pages);
-        seq.set_sequential(true);
-        manual_broadcast(&mut seq, seq_base, pages);
-
-        let (mut par, par_base, _) = summer_setup(pages);
-        let batch: Vec<PageActivation> = (0..pages)
-            .map(|p| {
-                PageActivation::new(par_base + (p * PAGE_SIZE) as u64, 1).with_param(sync::PARAM, 8)
-            })
-            .collect();
-        par.activate_pages(&batch);
-        for p in 0..pages {
-            par.wait_done(par_base + (p * PAGE_SIZE) as u64);
-        }
-
-        assert_eq!(par.now(), seq.now(), "simulated clocks must agree");
-        assert_eq!(format!("{:?}", par.stats()), format!("{:?}", seq.stats()));
-        for p in 0..pages {
-            assert_eq!(
-                par.read_ctrl(par_base + (p * PAGE_SIZE) as u64, sync::RESULT),
-                seq.read_ctrl(seq_base + (p * PAGE_SIZE) as u64, sync::RESULT),
-                "page {p} result"
-            );
-        }
+        assert_batch_paths_agree(|sequential, sanitize| {
+            let (mut sys, base, _) = summer_setup(pages);
+            sys.set_sanitize(sanitize);
+            if sequential {
+                sys.set_sequential(true);
+                manual_broadcast(&mut sys, base, pages);
+            } else {
+                sys.activate_pages(&broadcast_batch(base, pages));
+                for p in 0..pages {
+                    sys.wait_done(base + (p * PAGE_SIZE) as u64);
+                }
+            }
+            let results: Vec<u32> = (0..pages)
+                .map(|p| sys.read_ctrl(base + (p * PAGE_SIZE) as u64, sync::RESULT))
+                .collect();
+            ((sys.now(), format!("{:?}", sys.stats()), results), sys.race_audit())
+        });
     }
 
     #[test]
@@ -1821,31 +1803,22 @@ mod tests {
     }
 
     #[test]
-    fn pooled_and_spawn_executors_are_bit_identical() {
+    fn pooled_batch_matches_sequential_batch() {
         active_pages::parallel::set_thread_budget(4);
         let pages = 6;
-        let run = |mode: active_pages::parallel::PoolMode| {
-            active_pages::parallel::set_pool_mode(Some(mode));
+        assert_batch_paths_agree(|sequential, sanitize| {
             let (mut sys, base, _) = summer_setup(pages);
-            let batch: Vec<PageActivation> = (0..pages)
-                .map(|p| {
-                    PageActivation::new(base + (p * PAGE_SIZE) as u64, 1).with_param(sync::PARAM, 8)
-                })
-                .collect();
-            sys.activate_pages(&batch);
+            sys.set_sequential(sequential);
+            sys.set_sanitize(sanitize);
+            sys.activate_pages(&broadcast_batch(base, pages));
             for p in 0..pages {
                 sys.wait_done(base + (p * PAGE_SIZE) as u64);
             }
             let results: Vec<u32> = (0..pages)
                 .map(|p| sys.read_ctrl(base + (p * PAGE_SIZE) as u64, sync::RESULT))
                 .collect();
-            let out = (sys.now(), format!("{:?}", sys.stats()), results);
-            active_pages::parallel::set_pool_mode(None);
-            out
-        };
-        let pooled = run(active_pages::parallel::PoolMode::Pooled);
-        let spawn = run(active_pages::parallel::PoolMode::Spawn);
-        assert_eq!(pooled, spawn);
+            ((sys.now(), format!("{:?}", sys.stats()), results), sys.race_audit())
+        });
     }
 
     #[test]
@@ -1873,9 +1846,10 @@ mod tests {
         active_pages::parallel::set_thread_budget(4);
         // NeighborSummer blocks mid-run on a copy from the previous page;
         // batch pages 1..4 so the pending-queue order matters.
-        let run = |sequential: bool| {
+        assert_batch_paths_agree(|sequential, sanitize| {
             let (mut sys, base, _g) = setup(4);
             sys.set_sequential(sequential);
+            sys.set_sanitize(sanitize);
             sys.ap_bind(GroupId::new(0), Arc::new(NeighborSummer));
             for p in 0..4u64 {
                 sys.ram_write_u32(
@@ -1892,9 +1866,8 @@ mod tests {
             let words: Vec<u32> = (1..4u64)
                 .map(|p| sys.ram_read_u32(base + p * PAGE_SIZE as u64 + sync::BODY_OFFSET as u64))
                 .collect();
-            (sys.now(), format!("{:?}", sys.stats()), words)
-        };
-        assert_eq!(run(false), run(true));
+            ((sys.now(), format!("{:?}", sys.stats()), words), sys.race_audit())
+        });
     }
 
     #[test]
@@ -1902,9 +1875,10 @@ mod tests {
         active_pages::parallel::set_thread_budget(4);
         // PreFetcher: page 0 defers (no requests), page 1+ raise
         // pre-declared references, forcing the mid-batch flush + fallback.
-        let run = |sequential: bool| {
+        assert_batch_paths_agree(|sequential, sanitize| {
             let (mut sys, base, _g) = setup(3);
             sys.set_sequential(sequential);
+            sys.set_sanitize(sanitize);
             sys.ap_bind(GroupId::new(0), Arc::new(PreFetcher));
             for p in 0..3u64 {
                 sys.ram_write_u32(
@@ -1921,9 +1895,8 @@ mod tests {
             let results: Vec<u32> = (0..3)
                 .map(|p| sys.read_ctrl(base + (p * PAGE_SIZE) as u64, sync::RESULT))
                 .collect();
-            (sys.now(), format!("{:?}", sys.stats()), results)
-        };
-        assert_eq!(run(false), run(true));
+            ((sys.now(), format!("{:?}", sys.stats()), results), sys.race_audit())
+        });
     }
 
     /// Summer with an honest page-local footprint declaration.
@@ -2044,6 +2017,9 @@ mod tests {
         active_pages::parallel::set_thread_budget(4);
         let (mut sys, base, g) = setup(3);
         sys.ap_bind(g, Arc::new(EscapingWriter));
+        // Sanitized, so the batch is classified on a 1-core host too; the
+        // static RC202 check runs before any recording.
+        sys.set_sanitize(true);
         sys.activate_pages(&broadcast_batch(base, 3));
         for p in 0..3 {
             sys.wait_done(base + (p * PAGE_SIZE) as u64);
@@ -2074,7 +2050,7 @@ mod tests {
     fn sanitized_batch_matches_sequential_run_bit_for_bit() {
         active_pages::parallel::set_thread_budget(4);
         let pages = 5;
-        let run = |sequential: bool, sanitize: bool| {
+        assert_batch_paths_agree(|sequential, sanitize| {
             let (mut sys, base, g) = summer_setup(pages);
             sys.ap_bind(g, Arc::new(DeclaredSummer));
             sys.set_sequential(sequential);
@@ -2086,11 +2062,8 @@ mod tests {
             let results: Vec<u32> = (0..pages)
                 .map(|p| sys.read_ctrl(base + (p * PAGE_SIZE) as u64, sync::RESULT))
                 .collect();
-            (sys.now(), format!("{:?}", sys.stats()), results)
-        };
-        let oracle = run(true, false);
-        assert_eq!(run(false, true), oracle, "sanitized parallel vs sequential");
-        assert_eq!(run(false, false), oracle, "plain parallel vs sequential");
+            ((sys.now(), format!("{:?}", sys.stats()), results), sys.race_audit())
+        });
     }
 
     #[test]

@@ -8,11 +8,11 @@
 //! wall-clock microseconds. Each subsystem gets its own named thread row.
 //!
 //! Every event is written as one JSON object per line, which lets
-//! [`parse`] recover the events with a simple line scanner — the same
-//! hand-rolled, dependency-free style as the engine's manifest reader. A
+//! [`parse`] recover the events line by line with [`crate::json::parse`]. A
 //! ring that dropped events contributes an explicit `trace.truncated`
 //! instant so a clipped timeline is visibly clipped.
 
+use crate::json::{self, Value};
 use crate::{Subsystem, Trace};
 
 /// The pid under which simulation subsystems export (cycle timebase).
@@ -56,9 +56,9 @@ pub fn export(trace: &Trace, label: &str) -> String {
     for c in &trace.counters {
         push(
             format!(
-                "{{\"name\":\"{}\",\"cat\":\"metric\",\"ts\":0,\"pid\":{PID_SIM},\"tid\":0,\
+                "{{\"name\":{},\"cat\":\"metric\",\"ts\":0,\"pid\":{PID_SIM},\"tid\":0,\
                  \"ph\":\"C\",\"args\":{{\"value\":{}}}}}",
-                escape(c.name),
+                json::quote(c.name),
                 c.value()
             ),
             &mut out,
@@ -67,9 +67,9 @@ pub fn export(trace: &Trace, label: &str) -> String {
     for h in &trace.histograms {
         push(
             format!(
-                "{{\"name\":\"{}\",\"cat\":\"metric\",\"ts\":0,\"pid\":{PID_SIM},\"tid\":0,\
+                "{{\"name\":{},\"cat\":\"metric\",\"ts\":0,\"pid\":{PID_SIM},\"tid\":0,\
                  \"ph\":\"C\",\"args\":{{\"count\":{},\"sum\":{},\"max\":{}}}}}",
-                escape(h.name),
+                json::quote(h.name),
                 h.count(),
                 h.sum(),
                 h.max()
@@ -97,9 +97,9 @@ fn export_ring(
 ) {
     for e in ring.events() {
         let common = format!(
-            "\"name\":\"{}\",\"cat\":\"{cat}\",\"ts\":{},\"pid\":{pid},\"tid\":{tid},\
+            "\"name\":{},\"cat\":\"{cat}\",\"ts\":{},\"pid\":{pid},\"tid\":{tid},\
              \"args\":{{\"a\":{},\"b\":{}}}",
-            escape(e.kind),
+            json::quote(e.kind),
             e.cycle,
             e.a,
             e.b
@@ -127,23 +127,9 @@ fn export_ring(
 fn meta_name(kind: &str, pid: u64, tid: u64, name: &str) -> String {
     format!(
         "{{\"name\":\"{kind}\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-         \"args\":{{\"name\":\"{}\"}}}}",
-        escape(name)
+         \"args\":{{\"name\":{}}}}}",
+        json::quote(name)
     )
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// One event recovered from an exported trace file.
@@ -183,62 +169,27 @@ pub fn parse(text: &str) -> Result<Vec<ParsedEvent>, String> {
         if !line.starts_with('{') || !line.contains("\"ph\":") {
             continue;
         }
-        if !line.ends_with('}') {
-            return Err(format!("line {}: unterminated event object", lineno + 1));
-        }
-        let ph = str_field(line, "\"ph\":\"")
-            .and_then(|s| s.chars().next())
-            .ok_or_else(|| format!("line {}: missing ph", lineno + 1))?;
-        let name = str_field(line, "\"name\":\"")
-            .ok_or_else(|| format!("line {}: missing name", lineno + 1))?;
+        let at = |what: &str| format!("line {}: {what}", lineno + 1);
+        let event = json::parse(line).map_err(|e| at(&e.to_string()))?;
+        let text = |key: &str| event.get(key).and_then(Value::as_str).map(str::to_string);
+        let num = |v: Option<&Value>| v.and_then(Value::as_u64);
+        let arg = |key: &str| num(event.get("args").and_then(|a| a.get(key))).unwrap_or(0);
         events.push(ParsedEvent {
-            cat: str_field(line, "\"cat\":\"").unwrap_or_default(),
-            name,
-            ph,
-            ts: num_field(line, "\"ts\":").unwrap_or(0),
-            dur: num_field(line, "\"dur\":").unwrap_or(0),
-            pid: num_field(line, "\"pid\":")
-                .ok_or_else(|| format!("line {}: missing pid", lineno + 1))?,
-            tid: num_field(line, "\"tid\":").unwrap_or(0),
-            a: num_field(line, "\"a\":").unwrap_or(0),
-            b: num_field(line, "\"b\":").unwrap_or(0),
+            cat: text("cat").unwrap_or_default(),
+            name: text("name").ok_or_else(|| at("missing name"))?,
+            ph: text("ph").and_then(|p| p.chars().next()).ok_or_else(|| at("missing ph"))?,
+            ts: num(event.get("ts")).unwrap_or(0),
+            dur: num(event.get("dur")).unwrap_or(0),
+            pid: num(event.get("pid")).ok_or_else(|| at("missing pid"))?,
+            tid: num(event.get("tid")).unwrap_or(0),
+            a: arg("a"),
+            b: arg("b"),
         });
     }
     if events.is_empty() {
         return Err("trace contains no events".into());
     }
     Ok(events)
-}
-
-/// Extracts the (escaped) string after `key`, undoing [`escape`].
-fn str_field(line: &str, key: &str) -> Option<String> {
-    let start = line.find(key)? + key.len();
-    let mut out = String::new();
-    let mut chars = line[start..].chars();
-    while let Some(c) = chars.next() {
-        match c {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                'n' => out.push('\n'),
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                'u' => {
-                    let hex: String = chars.by_ref().take(4).collect();
-                    out.push(char::from_u32(u32::from_str_radix(&hex, 16).ok()?)?);
-                }
-                other => out.push(other),
-            },
-            c => out.push(c),
-        }
-    }
-    None
-}
-
-/// Extracts the unsigned integer after `key` (`None` when absent).
-fn num_field(line: &str, key: &str) -> Option<u64> {
-    let start = line.find(key)? + key.len();
-    let digits: String = line[start..].chars().take_while(char::is_ascii_digit).collect();
-    digits.parse().ok()
 }
 
 #[cfg(test)]
@@ -249,6 +200,7 @@ mod tests {
 
     #[test]
     fn export_parse_round_trip() {
+        let _guard = crate::filter_test_lock();
         set_filter(Filter::ALL);
         begin(SessionConfig::default());
         complete(Subsystem::Radram, "page.run", 100, 80, 3, 0);
@@ -273,6 +225,7 @@ mod tests {
 
     #[test]
     fn truncated_rings_export_a_marker() {
+        let _guard = crate::filter_test_lock();
         set_filter(Filter::ALL);
         begin(SessionConfig { ring_capacity: 2, ..SessionConfig::default() });
         for i in 0..5 {
@@ -284,6 +237,24 @@ mod tests {
         let marker = events.iter().find(|e| e.name == "trace.truncated").expect("marker");
         assert_eq!(marker.a, 3, "marker carries the drop count");
         assert_eq!(marker.cat, "cpu");
+    }
+
+    #[test]
+    fn tabs_and_carriage_returns_round_trip() {
+        // Counters are not filter-gated, so this test leaves the global
+        // subsystem filter alone.
+        begin(SessionConfig::default());
+        crate::session::count("ctr\twith\rcontrols", 1);
+        let trace = finish().unwrap();
+        let label = "job\tkey\r \"q\" back\\slash";
+        let text = export(&trace, label);
+
+        let events = parse(&text).unwrap();
+        assert!(events.iter().any(|e| e.ph == 'C' && e.name == "ctr\twith\rcontrols"));
+        let row = text.lines().find(|l| l.contains("ts = cycles")).expect("sim process row");
+        let meta = json::parse(row.trim_end_matches(',')).unwrap();
+        let name = meta.get("args").and_then(|a| a.get("name")).and_then(Value::as_str);
+        assert_eq!(name, Some(format!("sim {label} (ts = cycles)").as_str()));
     }
 
     #[test]

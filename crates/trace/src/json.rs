@@ -1,15 +1,17 @@
 //! A minimal JSON value model, parser and writer.
 //!
-//! The build environment is fully offline (no serde), and the `apd` wire
-//! protocol needs only small, flat-ish documents: one request or response
-//! per line. This module implements exactly the JSON this crate speaks —
-//! full escape handling, nesting, and numbers that round-trip the values we
-//! actually send (`f64`, and integers up to 2^53 which covers every id,
-//! counter rendered here, and millisecond field).
+//! The build environment is fully offline (no serde), and every JSON
+//! document in the workspace is small: one `apd` request or response per
+//! line, one manifest entry or trace event per line. This module implements
+//! exactly the JSON those speak — full escape handling, nesting, and numbers
+//! that round-trip the values actually sent (`f64`, and integers up to 2^53
+//! which covers every id, counter, cycle stamp and millisecond field).
+//! Writers that lay their documents out by hand escape strings with
+//! [`quote`], so there is one escaper.
 //!
 //! The parser is recursive-descent with an explicit depth limit, so a
-//! malicious frame cannot blow the daemon's stack; callers bound frame
-//! *size* separately at the framing layer ([`crate::proto::MAX_FRAME`]).
+//! malicious frame cannot blow the daemon's stack; `apd` bounds frame
+//! *size* separately at its framing layer.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -153,6 +155,19 @@ fn write_number(v: f64, out: &mut String) {
         // float Display is the Grisu/Ryū shortest form).
         let _ = write!(out, "{v}");
     }
+}
+
+/// `text` as a JSON string literal, quotes included.
+///
+/// # Examples
+///
+/// ```
+/// assert_eq!(ap_trace::json::quote("a\"b\tc"), r#""a\"b\tc""#);
+/// ```
+pub fn quote(text: &str) -> String {
+    let mut out = String::with_capacity(text.len() + 2);
+    write_string(text, &mut out);
+    out
 }
 
 fn write_string(text: &str, out: &mut String) {

@@ -49,6 +49,7 @@
 
 pub mod chrome;
 pub mod flame;
+pub mod json;
 pub mod metrics;
 pub mod phases;
 pub mod registry;
@@ -189,6 +190,14 @@ static FILTER: AtomicU32 = AtomicU32::new(0);
 /// Replaces the global subsystem filter. Affects every thread.
 pub fn set_filter(filter: Filter) {
     FILTER.store(filter.0, Ordering::Relaxed);
+}
+
+/// Serialises the unit tests that change the process-global filter, which
+/// `cargo test` would otherwise race on its parallel test threads.
+#[cfg(test)]
+pub(crate) fn filter_test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// The current global filter.

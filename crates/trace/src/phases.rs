@@ -131,6 +131,7 @@ mod tests {
 
     #[test]
     fn totals_from_native_and_chrome_agree() {
+        let _guard = crate::filter_test_lock();
         set_filter(Filter::ALL);
         begin(SessionConfig::default());
         // Two activations: dispatch 10 cycles each, page logic 100 each,
@@ -163,6 +164,7 @@ mod tests {
 
     #[test]
     fn explicit_kernel_span_overrides_the_envelope() {
+        let _guard = crate::filter_test_lock();
         set_filter(Filter::ALL);
         begin(SessionConfig::default());
         complete(Subsystem::Radram, KIND_PAGE_RUN, 10, 100, 0, 0);

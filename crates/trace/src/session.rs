@@ -262,6 +262,7 @@ mod tests {
 
     #[test]
     fn session_collects_and_finishes() {
+        let _guard = crate::filter_test_lock();
         set_filter(Filter::ALL);
         begin(SessionConfig::default());
         assert!(active());
@@ -283,6 +284,7 @@ mod tests {
 
     #[test]
     fn emissions_without_session_are_discarded() {
+        let _guard = crate::filter_test_lock();
         set_filter(Filter::ALL);
         assert!(finish().is_none());
         instant(Subsystem::Cpu, "noop", 1, 0, 0);
@@ -291,6 +293,7 @@ mod tests {
 
     #[test]
     fn page_events_shard_by_page_id() {
+        let _guard = crate::filter_test_lock();
         set_filter(Filter::ALL);
         begin(SessionConfig::default());
         complete(Subsystem::Radram, "page.run", 0, 10, 7, 0);
@@ -307,6 +310,7 @@ mod tests {
 
     #[test]
     fn page_sharding_opts_out_with_zero_capacity() {
+        let _guard = crate::filter_test_lock();
         set_filter(Filter::ALL);
         begin(SessionConfig { page_ring_capacity: 0, ..SessionConfig::default() });
         complete(Subsystem::Radram, "page.run", 0, 10, 7, 0);
@@ -318,6 +322,7 @@ mod tests {
 
     #[test]
     fn capture_diverts_then_replay_delivers() {
+        let _guard = crate::filter_test_lock();
         set_filter(Filter::ALL);
         begin(SessionConfig::default());
         capture_begin();
@@ -336,6 +341,7 @@ mod tests {
 
     #[test]
     fn captures_nest() {
+        let _guard = crate::filter_test_lock();
         set_filter(Filter::ALL);
         begin(SessionConfig::default());
         capture_begin();
@@ -352,6 +358,7 @@ mod tests {
 
     #[test]
     fn disabled_subsystems_emit_nothing() {
+        let _guard = crate::filter_test_lock();
         set_filter(Filter::of(&[Subsystem::Mem]));
         begin(SessionConfig::default());
         instant(Subsystem::Cpu, "bpred.mispredict", 5, 0, 0);
