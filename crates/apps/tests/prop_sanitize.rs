@@ -4,18 +4,10 @@
 //! batch participants collide (RC205) — on both execution tiers and across
 //! problem sizes.
 
+use active_pages::settings;
 use ap_apps::{App, ExecMode, SystemKind};
 use proptest::prelude::*;
 use radram::RadramConfig;
-
-/// Turns the sanitizer off again even when an assertion unwinds mid-case.
-struct SanitizeGuard;
-
-impl Drop for SanitizeGuard {
-    fn drop(&mut self) {
-        radram::set_force_sanitize(false);
-    }
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -26,15 +18,15 @@ proptest! {
         fast in proptest::bool::ANY,
         half_pages in 1u32..5,
     ) {
-        // Real worker threads even on a small host, so batches actually take
-        // the parallel path the sanitizer audits.
-        active_pages::parallel::set_thread_budget(4);
         let app = App::ALL[which];
         let pages = f64::from(half_pages) * 0.5;
         let mode = if fast { ExecMode::Fast } else { ExecMode::Accurate };
-        let _guard = SanitizeGuard;
-        radram::set_force_sanitize(true);
-        let report = app.run_mode(SystemKind::Radram, pages, &RadramConfig::reference(), mode);
+        // Real worker threads even on a small host, so batches actually take
+        // the parallel path the sanitizer audits.
+        let report = settings::scoped(
+            |s| (s.page_threads, s.sanitize) = (Some(4), true),
+            || app.run_mode(SystemKind::Radram, pages, &RadramConfig::reference(), mode),
+        );
         prop_assert_eq!(
             (report.stats.race_errors, report.stats.race_warnings),
             (0, 0),

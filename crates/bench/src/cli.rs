@@ -138,8 +138,8 @@ pub fn usage() -> String {
          \x20                     Pareto-front survivors\n\
          \x20 --quick             shrink sweeps to CI size (same as AP_QUICK=1)\n\
          \n\
-         environment: AP_QUICK=1 shrinks sweeps, AP_JOBS sets workers,\n\
-         AP_RESULTS_DIR relocates outputs, AP_NO_CACHE=1 disables the cache.",
+         environment: the AP_* variables (AP_QUICK, AP_JOBS, AP_RESULTS_DIR,\n\
+         AP_NO_CACHE, ...) are listed in the README's Environment table.",
     )
 }
 
@@ -268,8 +268,8 @@ impl Cli {
         }
     }
 
-    /// Builds the engine-backed runner this invocation asked for: environment
-    /// defaults, then the command-line overrides.
+    /// Builds the engine-backed runner this invocation asked for: run
+    /// settings, then the command-line overrides.
     pub fn runner(&self) -> Runner {
         let mut engine = env_engine();
         if let Some(jobs) = self.jobs {

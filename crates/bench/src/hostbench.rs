@@ -29,7 +29,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use active_pages::{
-    parallel, sync, ActivePageMemory, Execution, GroupId, PageFunction, PageSlice, PAGE_SIZE,
+    parallel, settings, sync, ActivePageMemory, Execution, GroupId, PageFunction, PageSlice,
+    PAGE_SIZE,
 };
 use ap_apps::database::xl;
 use ap_apps::{fnv_mix, App, ExecMode, RunReport, SystemKind};
@@ -436,13 +437,10 @@ fn thread_axis(quick: bool) -> Vec<usize> {
 /// Runs the prepared `database-xl` workload once, timing the kernel region
 /// only (host seconds drained via [`take_kernel_host_secs`]), so the
 /// 128 MiB-scale staging both variants share stays out of the timing.
-fn xl_run(wl: &xl::Workload, cfg: &RadramConfig, sequential: bool) -> Sample<RunReport> {
-    radram::set_force_sequential(sequential);
+fn xl_run(wl: &xl::Workload, cfg: &RadramConfig) -> Sample<RunReport> {
     let _ = take_kernel_host_secs();
     let report = xl::run_prepared(SystemKind::Radram, wl, cfg, ExecMode::Accurate);
-    let secs = take_kernel_host_secs();
-    radram::set_force_sequential(false);
-    Sample { secs: vec![secs], out: report }
+    Sample { secs: vec![take_kernel_host_secs()], out: report }
 }
 
 fn report_digest(r: &RunReport) -> (u64, u64, u64, u64, String) {
@@ -456,11 +454,14 @@ fn report_digest(r: &RunReport) -> (u64, u64, u64, u64, String) {
 fn batch_point(wl: &xl::Workload, threads: usize, audit: bool) -> Vec<(&'static str, String)> {
     let cfg = RadramConfig::reference();
     let reuses_before = parallel::pool_stats().reuses;
-    parallel::set_thread_budget(threads);
     let t = Point {
         label: format!("database-xl at {} pages, {threads} threads", wl.pages),
         variants: &["sequential", "pooled"],
-        run: |v| xl_run(wl, &cfg, v == 0),
+        // The sequential oracle runs at a page-thread budget of 1.
+        run: |v| {
+            let threads = if v == 0 { 1 } else { threads };
+            settings::scoped(|s| s.page_threads = Some(threads), || xl_run(wl, &cfg))
+        },
         digest: report_digest,
     }
     .measure();
@@ -473,9 +474,11 @@ fn batch_point(wl: &xl::Workload, threads: usize, audit: bool) -> Vec<(&'static 
         );
     }
     if audit {
-        radram::set_force_sanitize(true);
-        let audited = xl_run(wl, &cfg, false).out;
-        radram::set_force_sanitize(false);
+        let sanitized = settings::scoped(
+            |s| (s.page_threads, s.sanitize) = (Some(threads), true),
+            || xl_run(wl, &cfg),
+        );
+        let audited = sanitized.out;
         assert_eq!(audited.stats.race_errors, 0, "sanitizer found races in database-xl");
         assert_eq!(audited.stats.race_warnings, 0, "sanitizer warned on database-xl");
         assert_eq!(t[0].out.checksum, audited.checksum, "sanitized run changed the answer");
@@ -624,5 +627,14 @@ mod tests {
             assert!(row.get("speedup_vs_sequential").is_some());
         }
         assert!(bench.render().contains("\"pool\": {\"batches\""));
+    }
+
+    #[test]
+    fn batch_points_run_at_their_axis_count_under_an_outer_setting() {
+        // batch_point asserts pool reuse on >= 2 cores, which a page-thread
+        // setting of 1 leaking in from the caller would make impossible.
+        let bench =
+            settings::scoped(|s| s.page_threads = Some(1), || batch_scaling(true, None, Some(3)));
+        assert!(rows(&bench).iter().any(|r| num(r, "threads") == 3.0));
     }
 }

@@ -7,14 +7,13 @@
 //! them all and writes CSV files under `results/`.
 //!
 //! Simulation points are executed through [`runner::Runner`], which batches
-//! them onto the `ap-engine` worker pool: sweeps run in parallel (`AP_JOBS`
-//! workers), a panicking point degrades to a warning instead of killing the
-//! run, and completed points persist to a disk cache under
-//! `<results dir>/.ap-cache` so re-runs only simulate what changed.
+//! them onto the `ap-engine` worker pool: sweeps run in parallel, a
+//! panicking point degrades to a warning instead of killing the run, and
+//! completed points persist to a disk cache under `<results dir>/.ap-cache`
+//! so re-runs only simulate what changed.
 //!
-//! Knobs: `AP_QUICK=1` shrinks the sweeps for smoke runs, `AP_JOBS` sets the
-//! worker count, `AP_RESULTS_DIR` relocates result files, `AP_NO_CACHE=1`
-//! disables the cache.
+//! Knobs: the `AP_*` environment variables, parsed once by
+//! `active_pages::settings`, are listed in the README's *Environment* table.
 //!
 //! # Examples
 //!
@@ -42,26 +41,20 @@ pub mod sweep;
 
 pub use ap_apps::ExecMode;
 
+use active_pages::settings;
 use std::path::PathBuf;
 
-/// True when the `AP_QUICK` environment variable requests reduced sweeps.
+/// True when the `quick` setting (`AP_QUICK`) requests reduced sweeps.
 pub fn quick_mode() -> bool {
-    env_flag("AP_QUICK")
-}
-
-/// True when the boolean environment variable `name` is set (non-empty,
-/// not `"0"`).
-pub(crate) fn env_flag(name: &str) -> bool {
-    std::env::var(name).map(|v| v != "0" && !v.is_empty()).unwrap_or(false)
+    settings::with(|s| s.quick)
 }
 
 /// The directory result files (and the default experiment cache) live in:
-/// `AP_RESULTS_DIR` if set, else `results/` under the workspace root.
+/// the `results_dir` setting (`AP_RESULTS_DIR`) if set, else `results/`
+/// under the workspace root.
 pub fn results_dir() -> PathBuf {
-    match std::env::var_os("AP_RESULTS_DIR") {
-        Some(dir) if !dir.is_empty() => PathBuf::from(dir),
-        _ => std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results"),
-    }
+    settings::with(|s| s.results_dir.clone())
+        .unwrap_or_else(|| std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results"))
 }
 
 /// Writes `contents` to `<results dir>/<name>` and returns the written path;

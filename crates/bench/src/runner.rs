@@ -19,6 +19,8 @@
 use ap_apps::{App, ExecMode, RunReport, SystemKind};
 use ap_engine::{fnv1a, Codec, Engine, Job, JobError};
 use radram::{RadramConfig, SystemStats};
+use std::io::IsTerminal as _;
+use std::time::Duration;
 
 /// Version of the [`report_codec`] wire format. Bump whenever the encoded
 /// field set changes; old cache entries then fail to decode (their salt
@@ -110,17 +112,24 @@ fn record_session_metrics(r: &RunReport) {
     session::count("dispatch.cycles", r.dispatch_cycles);
 }
 
-/// The engine [`Runner::from_env`] runs on: the one place the harness
-/// reads its engine settings. Command-line overrides apply on top.
+/// The engine [`Runner::from_env`] runs on, built from the run settings:
+/// `AP_JOBS` workers, the `AP_JOB_TIMEOUT_SECS` deadline (`0` disables
+/// it), and the disk cache at `AP_CACHE_DIR`, else `<results
+/// dir>/.ap-cache`, unless `AP_NO_CACHE`. Progress shows when stderr is a
+/// terminal. Command-line overrides apply on top.
 pub(crate) fn env_engine() -> Engine {
-    let mut engine = Engine::from_env();
-    if engine.cache_dir().is_none() {
-        engine = engine.with_cache_dir(crate::results_dir().join(".ap-cache"));
+    let s = active_pages::settings::current();
+    let mut engine = Engine::new().with_progress(std::io::stderr().is_terminal());
+    if let Some(n) = s.jobs {
+        engine = engine.with_workers(n);
     }
-    if crate::env_flag("AP_NO_CACHE") {
-        engine = engine.without_cache();
+    if let Some(secs) = s.job_timeout_secs {
+        engine = engine.with_deadline((secs > 0).then(|| Duration::from_secs(secs)));
     }
-    engine
+    if s.no_cache {
+        return engine;
+    }
+    engine.with_cache_dir(s.cache_dir.unwrap_or_else(|| crate::results_dir().join(".ap-cache")))
 }
 
 /// Executes batches of [`RunSpec`]s on an [`Engine`].
@@ -130,7 +139,7 @@ pub struct Runner {
 }
 
 impl Runner {
-    /// A runner configured from the environment (`AP_JOBS`, `AP_CACHE_DIR`,
+    /// A runner configured from the run settings (`AP_JOBS`, `AP_CACHE_DIR`,
     /// `AP_JOB_TIMEOUT_SECS`), with the disk cache defaulting to
     /// `<results dir>/.ap-cache` unless `AP_NO_CACHE` is set.
     pub fn from_env() -> Runner {

@@ -1,5 +1,6 @@
 //! Determinism cross-check for the parallel page executor: on Figure 3/4
-//! sweep points, the parallel path and the `AP_SEQUENTIAL` oracle must
+//! sweep points, the parallel path and the sequential oracle (a page-thread
+//! setting of 1, as under `AP_PAGE_THREADS=1`) must
 //! produce bit-identical `RunReport`s (cycles, stats, checksums), identical
 //! trace event streams, and identical `T_A`/`T_P`/`T_C` phase totals.
 //!
@@ -8,31 +9,30 @@
 //! observable about the simulation — clock, statistics, interrupts, traces —
 //! is allowed to move.
 
+use active_pages::settings;
 use ap_apps::{App, RunReport, SystemKind};
 use ap_trace::phases::PhaseTotals;
 use ap_trace::session::{begin, finish, SessionConfig};
-use ap_trace::{set_filter, Filter};
+use ap_trace::Filter;
 use proptest::prelude::*;
-use radram::{set_force_sequential, RadramConfig};
-use std::sync::Mutex;
+use radram::RadramConfig;
 
-/// Serializes the tests in this binary: they toggle the process-global
-/// sequential-executor switch, the trace filter and the trace session.
-static GLOBALS_LOCK: Mutex<()> = Mutex::new(());
-
-/// Runs one Radram point under the chosen executor with a trace session
-/// active, returning everything an executor could possibly perturb.
+/// Runs one Radram point at `threads` page threads (1 is the sequential
+/// oracle; 4 gives the parallel executor real threads even on a small
+/// host) with a trace session active, returning everything an executor
+/// could possibly perturb.
 fn run_traced(
     app: App,
     pages: f64,
     cfg: &RadramConfig,
-    sequential: bool,
+    threads: usize,
 ) -> (RunReport, Vec<ap_trace::Event>, PhaseTotals) {
-    set_force_sequential(sequential);
-    begin(SessionConfig::default());
-    let report = app.run(SystemKind::Radram, pages, cfg);
+    begin(SessionConfig::filtered(Filter::ALL));
+    let report = settings::scoped(
+        |s| s.page_threads = Some(threads),
+        || app.run(SystemKind::Radram, pages, cfg),
+    );
     let trace = finish().expect("session active");
-    set_force_sequential(false);
     let events: Vec<ap_trace::Event> = trace.all_events().copied().collect();
     let totals = PhaseTotals::of_trace(&trace);
     (report, events, totals)
@@ -40,9 +40,6 @@ fn run_traced(
 
 #[test]
 fn fig3_sweep_points_are_bit_identical_under_both_executors() {
-    let _guard = GLOBALS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    set_filter(Filter::ALL);
-    active_pages::parallel::set_thread_budget(4);
     let cfg = RadramConfig::reference();
     // One representative per activation pattern: single broadcast batch
     // (database), shifted block moves (array), round-robin op rounds with
@@ -52,8 +49,8 @@ fn fig3_sweep_points_are_bit_identical_under_both_executors() {
         // The quick-sweep grid of Figure 3/4, spanning the sub-page and the
         // multi-page (parallelizable) regions.
         for pages in [0.5, 2.0, 8.0] {
-            let (seq_report, seq_events, seq_totals) = run_traced(app, pages, &cfg, true);
-            let (par_report, par_events, par_totals) = run_traced(app, pages, &cfg, false);
+            let (seq_report, seq_events, seq_totals) = run_traced(app, pages, &cfg, 1);
+            let (par_report, par_events, par_totals) = run_traced(app, pages, &cfg, 4);
             let label = format!("{} p={pages}", app.name());
             assert_eq!(seq_report, par_report, "{label}: RunReport diverges");
             assert_eq!(seq_totals, par_totals, "{label}: phase totals diverge");
@@ -67,19 +64,17 @@ fn fig3_sweep_points_are_bit_identical_under_both_executors() {
 
 #[test]
 fn database_xl_point_is_bit_identical_and_reuses_the_pool() {
-    let _guard = GLOBALS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    set_filter(Filter::ALL);
-    active_pages::parallel::set_thread_budget(4);
     let cfg = RadramConfig::reference();
     // The million-record scaling workload at a test-sized point: 16 pages,
     // 16 tenant queries, each an 8-page activation batch — the batch-churn
     // shape the persistent pool exists for. The dynamic race sanitizer is
-    // forced on for both executors.
-    radram::set_force_sanitize(true);
-    let (seq_report, seq_events, seq_totals) = run_traced(App::DatabaseXl, 16.0, &cfg, true);
+    // on for both executors.
+    let sanitized = |threads| {
+        settings::scoped(|s| s.sanitize = true, || run_traced(App::DatabaseXl, 16.0, &cfg, threads))
+    };
+    let (seq_report, seq_events, seq_totals) = sanitized(1);
     let reuses_before = active_pages::parallel::pool_stats().reuses;
-    let (par_report, par_events, par_totals) = run_traced(App::DatabaseXl, 16.0, &cfg, false);
-    radram::set_force_sanitize(false);
+    let (par_report, par_events, par_totals) = sanitized(4);
     assert_eq!(par_report.stats.race_errors, 0, "sanitizer found races");
     assert_eq!(par_report.stats.race_warnings, 0, "sanitizer warned");
     assert_eq!(seq_report, par_report, "database-xl: RunReport diverges");
@@ -207,15 +202,10 @@ proptest! {
     /// full `RunReport` (checksum, every cycle counter, every statistic).
     #[test]
     fn random_points_are_bit_identical(app_idx in 0usize..App::ALL.len(), pages in 1u32..12) {
-        let _guard = GLOBALS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        set_filter(Filter::ALL);
-        active_pages::parallel::set_thread_budget(4);
         let app = App::ALL[app_idx];
         let cfg = RadramConfig::reference();
-        set_force_sequential(true);
-        let seq = app.run(SystemKind::Radram, f64::from(pages), &cfg);
-        set_force_sequential(false);
-        let par = app.run(SystemKind::Radram, f64::from(pages), &cfg);
+        let (seq, ..) = run_traced(app, f64::from(pages), &cfg, 1);
+        let (par, ..) = run_traced(app, f64::from(pages), &cfg, 4);
         prop_assert_eq!(seq, par);
     }
 }

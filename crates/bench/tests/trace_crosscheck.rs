@@ -14,13 +14,8 @@ use ap_apps::{App, SystemKind};
 use ap_bench::runner::RunSpec;
 use ap_trace::phases::PhaseTotals;
 use ap_trace::session::{begin, finish, SessionConfig};
-use ap_trace::{chrome, set_filter, Filter};
+use ap_trace::{chrome, Filter};
 use radram::RadramConfig;
-use std::sync::Mutex;
-
-/// Serializes the tests in this binary: both manipulate the process-global
-/// subsystem filter.
-static FILTER_LOCK: Mutex<()> = Mutex::new(());
 
 /// Relative agreement within `tol` (absolute agreement for tiny values,
 /// where the relative error is dominated by integer cycle granularity).
@@ -31,12 +26,10 @@ fn close(traced: f64, analytic: f64, tol: f64) -> bool {
 
 #[test]
 fn traced_phases_match_analytic_calibration_on_fig3_array_points() {
-    let _guard = FILTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    set_filter(Filter::ALL);
     let cfg = RadramConfig::reference();
     for app in [App::ArrayInsert, App::ArrayDelete, App::ArrayFind] {
         for pages in [1.0, 4.0] {
-            begin(SessionConfig::default());
+            begin(SessionConfig::filtered(Filter::ALL));
             let spec = RunSpec::new(app, SystemKind::Radram, pages, cfg.clone());
             let report = spec.execute();
             let trace = finish().expect("session active");
@@ -82,25 +75,20 @@ fn traced_phases_match_analytic_calibration_on_fig3_array_points() {
             assert_eq!(kernel.value(), report.kernel_cycles);
         }
     }
-    set_filter(Filter::NONE);
 }
 
 #[test]
 fn tracing_does_not_change_simulated_cycles() {
-    // Bit-identical reproduction with the tracer on, off, and on again:
+    // Bit-identical reproduction with the tracer off and on:
     // instrumentation must only observe.
-    let _guard = FILTER_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let cfg = RadramConfig::reference();
     let spec = RunSpec::new(App::Database, SystemKind::Radram, 2.0, cfg);
 
-    set_filter(Filter::NONE);
     let untraced = spec.execute();
 
-    set_filter(Filter::ALL);
-    begin(SessionConfig::default());
+    begin(SessionConfig::filtered(Filter::ALL));
     let traced = spec.execute();
     let trace = finish().unwrap();
-    set_filter(Filter::NONE);
 
     assert_eq!(untraced, traced, "tracing perturbed the simulation");
     assert!(trace.all_events().count() > 0, "traced run collected no events");

@@ -67,6 +67,7 @@ mod ideal;
 mod model;
 mod page;
 pub mod parallel;
+pub mod settings;
 mod slice;
 pub mod sync;
 mod table;

@@ -9,8 +9,10 @@
 //! divides the machine once — `cores / workers` — and publishes the per-job
 //! share here; the memory system sizes its page pools from [`thread_budget`].
 //!
-//! The budget is advisory and process-global. `AP_PAGE_THREADS` overrides it
-//! for experiments; a budget of 1 disables page-level parallelism entirely.
+//! The budget is advisory and process-global. The `page_threads` setting
+//! (`AP_PAGE_THREADS`, see the README's environment table, or a
+//! [`settings::scoped`](crate::settings::scoped) override) takes precedence;
+//! a budget of 1 disables page-level parallelism entirely.
 //!
 //! # The page-worker pool
 //!
@@ -77,16 +79,13 @@ pub fn set_thread_budget(threads: usize) {
 
 /// Host threads available for executing one group's page functions.
 ///
-/// Resolution order: the `AP_PAGE_THREADS` environment variable (if set to a
-/// positive integer), then the budget published via [`set_thread_budget`],
-/// then the host's available parallelism. Never returns 0.
+/// Resolution order: the `page_threads` [setting](crate::settings) in
+/// effect on this thread (`AP_PAGE_THREADS`, or a scoped override), then
+/// the budget published via [`set_thread_budget`], then the host's
+/// available parallelism. Never returns 0.
 pub fn thread_budget() -> usize {
-    if let Ok(v) = std::env::var("AP_PAGE_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
+    if let Some(n) = crate::settings::with(|s| s.page_threads) {
+        return n.max(1);
     }
     match BUDGET.load(Ordering::Relaxed) {
         0 => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),

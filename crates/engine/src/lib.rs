@@ -7,7 +7,7 @@
 //! grids fast and safely:
 //!
 //! * **Parallel** — jobs run on a scoped worker pool ([`std::thread::scope`]
-//!   plus channels; worker count from `AP_JOBS`, default the machine's
+//!   plus channels; worker count set by the caller, default the machine's
 //!   available parallelism). Results come back in deterministic *submission*
 //!   order regardless of completion order, so output files are byte-identical
 //!   at any worker count.
@@ -54,7 +54,6 @@ pub use job::{Codec, Job, JobError, JobOutcome};
 pub use service::{Completion, JobId, Service, ServiceConfig, SubmitError};
 pub use supervise::{supervise, Supervised};
 
-use std::io::IsTerminal as _;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender};
@@ -111,32 +110,6 @@ impl Engine {
         }
     }
 
-    /// An engine configured from the environment:
-    ///
-    /// * `AP_JOBS` — worker count (default: available parallelism).
-    /// * `AP_CACHE_DIR` — disk cache directory (default: no cache; callers
-    ///   usually supply their own default via [`with_cache_dir`](Self::with_cache_dir)).
-    /// * `AP_JOB_TIMEOUT_SECS` — per-job deadline in seconds, `0` disables
-    ///   (default: 600).
-    ///
-    /// Progress is enabled when stderr is a terminal.
-    pub fn from_env() -> Self {
-        let mut e = Engine::new();
-        if let Some(n) = env_usize("AP_JOBS") {
-            e.workers = n.max(1);
-        }
-        if let Ok(dir) = std::env::var("AP_CACHE_DIR") {
-            if !dir.is_empty() {
-                e.cache = Some(DiskCache::new(dir));
-            }
-        }
-        if let Some(secs) = env_usize("AP_JOB_TIMEOUT_SECS") {
-            e.deadline = (secs > 0).then(|| Duration::from_secs(secs as u64));
-        }
-        e.progress = std::io::stderr().is_terminal();
-        e
-    }
-
     /// Sets the worker count (clamped to at least 1).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
@@ -182,27 +155,18 @@ impl Engine {
     }
 
     /// Records a Chrome trace for every freshly executed job, filtered to
-    /// `filter`, one `.trace.json` file per job under `dir`. The global
-    /// subsystem filter is installed when [`Engine::run`] starts. Tracing
-    /// never changes simulated cycle counts or cache keys — it only observes.
+    /// `filter`, one `.trace.json` file per job under `dir`. The filter
+    /// applies to each job's own trace session only, so later untraced runs
+    /// stay untraced. Tracing never changes simulated cycle counts or cache
+    /// keys — it only observes.
     pub fn with_trace_dir(mut self, dir: impl Into<PathBuf>, filter: ap_trace::Filter) -> Self {
         self.trace = Some(TraceSink { dir: dir.into(), filter });
         self
     }
 
-    /// The trace sink, if per-job tracing is enabled.
-    pub fn trace_sink(&self) -> Option<&TraceSink> {
-        self.trace.as_ref()
-    }
-
     /// The configured worker count.
     pub fn workers(&self) -> usize {
         self.workers
-    }
-
-    /// The cache directory, if caching is enabled.
-    pub fn cache_dir(&self) -> Option<&std::path::Path> {
-        self.cache.as_ref().map(|c| c.dir())
     }
 
     /// Executes `jobs` on the worker pool and returns one outcome per job,
@@ -228,7 +192,6 @@ impl Engine {
         let next = AtomicUsize::new(0);
         let (tx, rx) = mpsc::channel::<(usize, JobOutcome<T>)>();
         if let Some(sink) = &self.trace {
-            ap_trace::set_filter(sink.filter);
             if let Err(e) = std::fs::create_dir_all(&sink.dir) {
                 ap_trace::warn(
                     "trace.dir_failed",
@@ -374,7 +337,8 @@ impl Engine {
         key: &str,
         run: Box<dyn FnOnce() -> T + Send>,
     ) -> (Result<T, JobError>, Option<PathBuf>) {
-        let session = self.trace.as_ref().map(|_| ap_trace::session::SessionConfig::default());
+        let session =
+            self.trace.as_ref().map(|sink| ap_trace::session::SessionConfig::filtered(sink.filter));
         let supervised = supervise::supervise(self.deadline, session, run);
         let path = match (&self.trace, &supervised.trace) {
             (Some(sink), Some(trace)) => write_trace(&sink.dir, key, trace),
@@ -412,17 +376,6 @@ struct JobSlot<T> {
 
 pub(crate) fn available_workers() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-fn env_usize(name: &str) -> Option<usize> {
-    let raw = std::env::var(name).ok()?;
-    match raw.trim().parse() {
-        Ok(n) => Some(n),
-        Err(_) => {
-            ap_trace::warn("env.unparsable", format!("ignoring unparsable {name}={raw:?}"));
-            None
-        }
-    }
 }
 
 #[cfg(test)]

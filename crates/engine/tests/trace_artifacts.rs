@@ -1,6 +1,7 @@
 //! Per-job trace artifacts: with a [`TraceSink`] every fresh execution
 //! exports a parseable Chrome trace containing its `job.run` span, cache
-//! hits stay untraced, and the manifest records which jobs carry traces.
+//! hits stay untraced, the manifest records which jobs carry traces, and
+//! a traced run's filter ends with its jobs.
 
 use ap_engine::{manifest, Codec, Engine, Job};
 use ap_trace::{Filter, Subsystem};
@@ -71,4 +72,23 @@ fn fresh_jobs_export_traces_and_cache_hits_do_not() {
 fn untraced_engines_attach_no_trace_paths() {
     let results = Engine::new().with_workers(1).run(vec![Job::new("plain", || 1u64)], None);
     assert!(results[0].trace.is_none());
+}
+
+#[test]
+fn a_traced_run_leaves_later_runs_untraced() {
+    let trace_dir =
+        std::env::temp_dir().join(format!("ap-engine-trace-leak-{}", std::process::id()));
+    let probe = || vec![Job::new("probe", || ap_trace::enabled(Subsystem::Mem))];
+
+    let traced =
+        Engine::new().with_workers(1).with_trace_dir(&trace_dir, Filter::ALL).run(probe(), None);
+    assert_eq!(traced[0].result.as_ref().ok(), Some(&true), "the traced job records mem events");
+
+    let untraced = Engine::new().with_workers(1).run(probe(), None);
+    assert_eq!(
+        untraced[0].result.as_ref().ok(),
+        Some(&false),
+        "tracing stayed on after the traced run ended"
+    );
+    let _ = std::fs::remove_dir_all(&trace_dir);
 }

@@ -10,7 +10,7 @@
 //! instead of silently perturbing every experiment.
 
 use ap_mem::{Hierarchy, HierarchyConfig, VAddr};
-use ap_trace::{Filter, Subsystem};
+use ap_trace::Subsystem;
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Instant;
 
@@ -34,7 +34,7 @@ fn gate_ns() -> f64 {
     min_ns_per_op(GATE_CALLS, |ops| {
         for i in 0..ops {
             // The exact call an instrumented hot path makes when tracing is
-            // off: one relaxed load, branch not taken.
+            // off: one thread-local load, branch not taken.
             ap_trace::instant(Subsystem::Mem, "bench.probe", i, i, 0);
         }
     })
@@ -51,7 +51,7 @@ fn access_ns(h: &mut Hierarchy) -> f64 {
 }
 
 fn bench_disabled_overhead(c: &mut Criterion) {
-    ap_trace::set_filter(Filter::NONE);
+    // No trace session is open on this thread, so tracing is off.
     let mut h = Hierarchy::new(HierarchyConfig::reference());
 
     let gate = gate_ns();

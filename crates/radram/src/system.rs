@@ -14,28 +14,10 @@ use ap_lint::Report;
 use ap_mem::{AccessTap, VAddr};
 use ap_trace::Subsystem::Radram as TRACE_RAD;
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 const PAGE_SHIFT: u32 = 19; // 512 KB pages
 const PAGE_MASK: u64 = PAGE_SIZE as u64 - 1;
-
-/// Process-wide override forcing the sequential activation path.
-static FORCE_SEQUENTIAL: AtomicBool = AtomicBool::new(false);
-
-/// Forces every [`System`] in this process onto the sequential activation
-/// path (the determinism oracle for [`System::activate_pages`]). Parallel
-/// and sequential schedules produce bit-identical simulation results, so
-/// this only changes host wall-clock; it is safe to toggle globally.
-pub fn set_force_sequential(on: bool) {
-    FORCE_SEQUENTIAL.store(on, Ordering::Relaxed);
-}
-
-/// True when [`set_force_sequential`] (or the `AP_SEQUENTIAL` environment
-/// variable at `System` construction) disabled parallel page execution.
-pub fn force_sequential() -> bool {
-    FORCE_SEQUENTIAL.load(Ordering::Relaxed)
-}
 
 /// Host threads a parallel batch runs on: the page-thread budget capped at
 /// the host's cores. Batch eligibility and execution share this one rule,
@@ -43,23 +25,6 @@ pub fn force_sequential() -> bool {
 /// inline.
 fn page_threads() -> usize {
     active_pages::parallel::effective_threads(active_pages::parallel::thread_budget())
-}
-
-/// Process-wide override enabling the dynamic access sanitizer.
-static FORCE_SANITIZE: AtomicBool = AtomicBool::new(false);
-
-/// Turns the dynamic access sanitizer on for every [`System`] in this
-/// process (equivalent to constructing under `AP_SANITIZE=1`). Sanitized
-/// batches record every byte each page function touches plus the
-/// processor's cached traffic, and cross-check them (RC204/RC205); results
-/// and simulated timing are unchanged — only host wall-clock grows.
-pub fn set_force_sanitize(on: bool) {
-    FORCE_SANITIZE.store(on, Ordering::Relaxed);
-}
-
-/// True when [`set_force_sanitize`] enabled the sanitizer process-wide.
-pub fn force_sanitize() -> bool {
-    FORCE_SANITIZE.load(Ordering::Relaxed)
 }
 
 /// Counters describing how the parallel executor classified its batches.
@@ -185,9 +150,9 @@ pub struct System {
     cpu: Cpu,
     cfg: RadramConfig,
     rad: Option<Rad>,
-    /// Per-instance sequential override (seeded from `AP_SEQUENTIAL`).
+    /// Per-instance sequential override.
     sequential: bool,
-    /// Per-instance sanitizer switch (seeded from `AP_SANITIZE`).
+    /// Per-instance sanitizer switch (seeded from the `sanitize` setting).
     sanitize: bool,
     /// Race diagnostics accumulated by the sanitizer and the static batch
     /// check (RC202/RC204/RC205).
@@ -202,23 +167,6 @@ pub struct System {
     batch_spare: Option<BatchState>,
     /// Host timestamp of the open kernel region ([`System::kernel_start`]).
     kernel_t0: Option<std::time::Instant>,
-}
-
-/// True when environment variable `name` is set to anything non-empty other
-/// than `0` (the shared boolean-flag convention: `AP_SEQUENTIAL`,
-/// `AP_SANITIZE`).
-fn env_flag(name: &str) -> bool {
-    std::env::var(name).is_ok_and(|v| !v.is_empty() && v != "0")
-}
-
-/// True when `AP_SEQUENTIAL` asks for the sequential activation path.
-fn env_sequential() -> bool {
-    env_flag("AP_SEQUENTIAL")
-}
-
-/// True when `AP_SANITIZE` asks for the dynamic access sanitizer.
-fn env_sanitize() -> bool {
-    env_flag("AP_SANITIZE")
 }
 
 impl System {
@@ -242,8 +190,8 @@ impl System {
             cpu: Cpu::with_mode(cfg.cpu.clone(), cfg.ram_capacity, mode),
             cfg,
             rad: None,
-            sequential: env_sequential(),
-            sanitize: env_sanitize(),
+            sequential: false,
+            sanitize: active_pages::settings::with(|s| s.sanitize),
             race: Report::new("ap-race"),
             audit: RaceAudit::default(),
             batch: None,
@@ -260,25 +208,15 @@ impl System {
     /// Creates an Active-Page system on the execution tier `mode` selects.
     pub fn radram_mode(cfg: RadramConfig, mode: ExecMode) -> Self {
         let frames = cfg.ram_capacity >> PAGE_SHIFT;
-        System {
-            cpu: Cpu::with_mode(cfg.cpu.clone(), cfg.ram_capacity, mode),
-            rad: Some(Rad {
-                table: active_pages::PageTable::new(),
-                pages: Vec::new(),
-                frames: vec![None; frames],
-                pending: Vec::new(),
-                scratch: Vec::new(),
-                counters: Counters::default(),
-            }),
-            cfg,
-            sequential: env_sequential(),
-            sanitize: env_sanitize(),
-            race: Report::new("ap-race"),
-            audit: RaceAudit::default(),
-            batch: None,
-            batch_spare: None,
-            kernel_t0: None,
-        }
+        let rad = Rad {
+            table: active_pages::PageTable::new(),
+            pages: Vec::new(),
+            frames: vec![None; frames],
+            pending: Vec::new(),
+            scratch: Vec::new(),
+            counters: Counters::default(),
+        };
+        System { rad: Some(rad), ..Self::conventional_mode(cfg, mode) }
     }
 
     /// Pins this instance to the sequential activation path (or releases
@@ -290,8 +228,7 @@ impl System {
     }
 
     /// Turns the dynamic access sanitizer on (or off) for this instance
-    /// (see [`set_force_sanitize`] for the process-wide switch and
-    /// `AP_SANITIZE` for the environment seed).
+    /// (a new instance starts from the `sanitize` setting, `AP_SANITIZE`).
     pub fn set_sanitize(&mut self, on: bool) {
         self.sanitize = on;
     }
@@ -1124,8 +1061,8 @@ impl System {
     /// pool: each function owns a disjoint 512 KB slice of backing RAM
     /// (via [`active_pages::split_pages`]) and never advances the simulated
     /// clock, so their results can be merged back deterministically in
-    /// batch order. Set `AP_SEQUENTIAL=1` (or [`set_force_sequential`],
-    /// or [`System::set_sequential`]) to force the sequential oracle.
+    /// batch order. A page-thread budget of 1 (`AP_PAGE_THREADS=1`) or
+    /// [`System::set_sequential`] forces the sequential oracle.
     ///
     /// Batches that interact through the pending-request queue — duplicate
     /// pages, already-busy pages, pre-declared inter-page references,
@@ -1226,7 +1163,7 @@ impl System {
         } else {
             self.audit.unknown_batches += 1;
         }
-        Some(self.sanitize || force_sanitize())
+        Some(self.sanitize)
     }
 
     /// Cross-checks a completed sanitized batch: every page's recorded
@@ -1286,10 +1223,9 @@ impl System {
         let Some(rad) = self.rad.as_ref() else { return false };
         if batch.len() < 2
             || self.sequential
-            || force_sequential()
             || self.cfg.comm == crate::CommMode::HardwareCopy
             || active_pages::parallel::thread_budget() < 2
-            || (page_threads() < 2 && !(self.sanitize || force_sanitize()))
+            || (page_threads() < 2 && !self.sanitize)
             || !rad.pending.is_empty()
         {
             return false;

@@ -474,8 +474,7 @@ mod tests {
 
     #[test]
     fn run_emits_a_kernel_span() {
-        ap_trace::set_filter(ap_trace::Filter::ALL);
-        ap_trace::session::begin(ap_trace::session::SessionConfig::default());
+        ap_trace::session::begin(ap_trace::session::SessionConfig::filtered(ap_trace::Filter::ALL));
         let mut m = machine("addi r1, r0, 1\n addi r2, r1, 2\n halt");
         m.run(10).unwrap();
         let cycles = m.cycles();

@@ -196,13 +196,11 @@ pub fn parse(text: &str) -> Result<Vec<ParsedEvent>, String> {
 mod tests {
     use super::*;
     use crate::session::{begin, finish, SessionConfig};
-    use crate::{complete, instant, set_filter, Filter};
+    use crate::{complete, instant, Filter};
 
     #[test]
     fn export_parse_round_trip() {
-        let _guard = crate::filter_test_lock();
-        set_filter(Filter::ALL);
-        begin(SessionConfig::default());
+        begin(SessionConfig::filtered(Filter::ALL));
         complete(Subsystem::Radram, "page.run", 100, 80, 3, 0);
         instant(Subsystem::Mem, "l1d.miss", 10, 0x40, 0);
         complete(Subsystem::Engine, "job.run", 5, 1000, 0, 0);
@@ -225,9 +223,7 @@ mod tests {
 
     #[test]
     fn truncated_rings_export_a_marker() {
-        let _guard = crate::filter_test_lock();
-        set_filter(Filter::ALL);
-        begin(SessionConfig { ring_capacity: 2, ..SessionConfig::default() });
+        begin(SessionConfig { ring_capacity: 2, ..SessionConfig::filtered(Filter::ALL) });
         for i in 0..5 {
             instant(Subsystem::Cpu, "tick", i, 0, 0);
         }
@@ -241,8 +237,7 @@ mod tests {
 
     #[test]
     fn tabs_and_carriage_returns_round_trip() {
-        // Counters are not filter-gated, so this test leaves the global
-        // subsystem filter alone.
+        // Counters are not filter-gated: the default session records them.
         begin(SessionConfig::default());
         crate::session::count("ctr\twith\rcontrols", 1);
         let trace = finish().unwrap();

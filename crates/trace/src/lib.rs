@@ -7,10 +7,10 @@
 //! observability substrate that lets the simulator show its work instead of
 //! reporting only end-of-run aggregates:
 //!
-//! * **Zero cost when disabled.** Every emission site is gated on one
-//!   relaxed atomic load of a global subsystem [`Filter`]; with the filter
-//!   empty (the default) no ring, lock or allocation is ever touched, so
-//!   instrumented hot paths reproduce bit-identical cycle counts.
+//! * **Zero cost when disabled.** Every emission site is gated on one load
+//!   of the calling thread's session [`Filter`]; with the filter empty (the
+//!   default, and on any thread without a session) no ring, lock or
+//!   allocation is touched, so hot paths reproduce bit-identical cycles.
 //! * **Bounded memory.** Events land in per-subsystem [`ring::Ring`]
 //!   buffers of fixed capacity; saturation increments a drop counter and
 //!   never reallocates, and the Chrome exporter emits an explicit
@@ -26,18 +26,18 @@
 //!   `ap_analytic::calibrate`.
 //!
 //! Collection is per-thread: a simulation job [`session::begin`]s a session
-//! on its own thread, runs, and [`session::finish`]es to obtain the
-//! [`Trace`]. The engine's rare, cross-thread diagnostics go through the
-//! global [`warn`] channel instead, which is always counted (and mirrored
-//! to stderr) so engine noise is testable.
+//! on its own thread with the subsystems to record, runs, and
+//! [`session::finish`]es to obtain the [`Trace`]; one thread's session never
+//! turns tracing on for another. The engine's rare, cross-thread diagnostics
+//! go through the global [`warn`] channel instead, which is always counted
+//! (and mirrored to stderr) so engine noise is testable.
 //!
 //! # Examples
 //!
 //! ```
 //! use ap_trace::{session, Filter, Subsystem};
 //!
-//! ap_trace::set_filter(Filter::ALL);
-//! session::begin(session::SessionConfig::default());
+//! session::begin(session::SessionConfig::filtered(Filter::ALL));
 //! ap_trace::set_cycle(100);
 //! ap_trace::complete(Subsystem::Radram, "page.run", 100, 80, 0, 0);
 //! let trace = session::finish().unwrap();
@@ -64,7 +64,6 @@ pub use session::{complete, instant, Trace};
 pub use warnings::{reset_warnings, warn, warn_count, warnings, Warning};
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// The instrumented subsystems, one per simulation layer plus the engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -129,7 +128,7 @@ impl std::fmt::Display for Subsystem {
 pub struct Filter(pub u32);
 
 impl Filter {
-    /// Nothing enabled (the startup state: tracing off).
+    /// Nothing enabled (the default: tracing off).
     pub const NONE: Filter = Filter(0);
     /// Every subsystem enabled.
     pub const ALL: Filter = Filter((1 << Subsystem::ALL.len()) - 1);
@@ -184,40 +183,19 @@ impl std::fmt::Display for Filter {
     }
 }
 
-/// The global runtime gate. Zero (all tracing off) at startup.
-static FILTER: AtomicU32 = AtomicU32::new(0);
-
-/// Replaces the global subsystem filter. Affects every thread.
-pub fn set_filter(filter: Filter) {
-    FILTER.store(filter.0, Ordering::Relaxed);
-}
-
-/// Serialises the unit tests that change the process-global filter, which
-/// `cargo test` would otherwise race on its parallel test threads.
-#[cfg(test)]
-pub(crate) fn filter_test_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// The current global filter.
-pub fn filter() -> Filter {
-    Filter(FILTER.load(Ordering::Relaxed))
-}
-
-/// True when `sub` is traced. This is the hot-path gate: one relaxed atomic
-/// load and a mask test, nothing else, so instrumented code pays (far) below
-/// measurement noise when tracing is off.
+/// True when `sub` is traced on this thread. This is the hot-path gate:
+/// one load of the thread's session filter and a mask test, so
+/// instrumented code pays (far) below measurement noise when tracing is off.
 #[inline(always)]
 pub fn enabled(sub: Subsystem) -> bool {
-    FILTER.load(Ordering::Relaxed) & sub.bit() != 0
+    session::filter_bits() & sub.bit() != 0
 }
 
-/// True when any subsystem in `mask` is traced (one load for sites that
-/// serve several subsystems).
+/// True when any subsystem in `mask` is traced on this thread (one load for
+/// sites that serve several subsystems).
 #[inline(always)]
 pub fn enabled_any(mask: Filter) -> bool {
-    FILTER.load(Ordering::Relaxed) & mask.0 != 0
+    session::filter_bits() & mask.0 != 0
 }
 
 thread_local! {

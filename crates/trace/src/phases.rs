@@ -127,13 +127,11 @@ impl PhaseTotals {
 mod tests {
     use super::*;
     use crate::session::{begin, finish, SessionConfig};
-    use crate::{complete, instant, set_filter, Filter};
+    use crate::{complete, instant, Filter};
 
     #[test]
     fn totals_from_native_and_chrome_agree() {
-        let _guard = crate::filter_test_lock();
-        set_filter(Filter::ALL);
-        begin(SessionConfig::default());
+        begin(SessionConfig::filtered(Filter::ALL));
         // Two activations: dispatch 10 cycles each, page logic 100 each,
         // one 30-cycle sync stall; kernel envelope ends at 260.
         instant(Subsystem::Radram, KIND_DISPATCH_MARK, 0, 0, 0);
@@ -164,9 +162,7 @@ mod tests {
 
     #[test]
     fn explicit_kernel_span_overrides_the_envelope() {
-        let _guard = crate::filter_test_lock();
-        set_filter(Filter::ALL);
-        begin(SessionConfig::default());
+        begin(SessionConfig::filtered(Filter::ALL));
         complete(Subsystem::Radram, KIND_PAGE_RUN, 10, 100, 0, 0);
         // The harness-measured region extends 40 cycles past the last event.
         complete(Subsystem::Radram, KIND_KERNEL, 0, 150, 0, 0);

@@ -3,19 +3,22 @@
 //! Each simulation job runs on its own thread (the engine spawns one per
 //! job), so collection is thread-local: [`begin`] installs a session,
 //! instrumented code [`emit`]s into it with no locking, and [`finish`]
-//! takes it down and returns the collected [`Trace`]. A thread with no
-//! session discards emissions (after the global filter gate, which is the
-//! common early-out).
+//! takes it down and returns the collected [`Trace`]. The session's
+//! [`Filter`] is the thread's emission gate, so a thread with no session
+//! records nothing and pays one load per instrumented site.
 
 use crate::metrics::{Counter, Histogram};
 use crate::ring::{Ring, DEFAULT_CAPACITY, DEFAULT_PAGE_CAPACITY};
-use crate::{enabled, Event, Subsystem};
-use std::cell::RefCell;
+use crate::{enabled, Event, Filter, Subsystem};
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 
-/// Capacity knobs for a session.
+/// What a session records, and its capacity knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct SessionConfig {
+    /// Subsystems whose events this session records ([`count`] and
+    /// [`observe`] record regardless).
+    pub filter: Filter,
     /// Per-subsystem ring capacity in events.
     pub ring_capacity: usize,
     /// Capacity of each lazily-created per-page ring. Page-scoped `radram`
@@ -28,7 +31,18 @@ pub struct SessionConfig {
 
 impl Default for SessionConfig {
     fn default() -> Self {
-        SessionConfig { ring_capacity: DEFAULT_CAPACITY, page_ring_capacity: DEFAULT_PAGE_CAPACITY }
+        SessionConfig {
+            filter: Filter::NONE,
+            ring_capacity: DEFAULT_CAPACITY,
+            page_ring_capacity: DEFAULT_PAGE_CAPACITY,
+        }
+    }
+}
+
+impl SessionConfig {
+    /// The default session recording the events of `filter`.
+    pub fn filtered(filter: Filter) -> SessionConfig {
+        SessionConfig { filter, ..SessionConfig::default() }
     }
 }
 
@@ -135,6 +149,8 @@ impl Trace {
 
 thread_local! {
     static SESSION: RefCell<Option<Trace>> = const { RefCell::new(None) };
+    /// The active session's filter bits; zero without a session.
+    static FILTER: Cell<u32> = const { Cell::new(0) };
     /// Stack of capture buffers; a non-empty stack diverts [`emit`] into the
     /// top buffer instead of the session rings.
     static CAPTURE: RefCell<Vec<Vec<Event>>> = const { RefCell::new(Vec::new()) };
@@ -166,15 +182,23 @@ pub fn replay(events: &[Event]) {
     }
 }
 
-/// Starts collecting on this thread, replacing (and discarding) any
-/// previous session.
+/// The calling thread's gate: its session's filter bits, zero without one.
+#[inline(always)]
+pub(crate) fn filter_bits() -> u32 {
+    FILTER.with(Cell::get)
+}
+
+/// Starts collecting `cfg.filter`'s events on this thread, replacing (and
+/// discarding) any previous session.
 pub fn begin(cfg: SessionConfig) {
     SESSION.with(|s| *s.borrow_mut() = Some(Trace::with_config(cfg)));
+    FILTER.with(|f| f.set(cfg.filter.0));
 }
 
 /// Stops collecting on this thread and returns the trace, or `None` when no
-/// session was active.
+/// session was active. Tracing is off on this thread afterwards.
 pub fn finish() -> Option<Trace> {
+    FILTER.with(|f| f.set(0));
     SESSION.with(|s| s.borrow_mut().take())
 }
 
@@ -258,13 +282,10 @@ pub fn observe(name: &'static str, value: u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{set_filter, Filter};
 
     #[test]
     fn session_collects_and_finishes() {
-        let _guard = crate::filter_test_lock();
-        set_filter(Filter::ALL);
-        begin(SessionConfig::default());
+        begin(SessionConfig::filtered(Filter::ALL));
         assert!(active());
         instant(Subsystem::Mem, "l1d.miss", 10, 0x40, 0);
         complete(Subsystem::Radram, "page.run", 100, 80, 3, 0);
@@ -284,18 +305,23 @@ mod tests {
 
     #[test]
     fn emissions_without_session_are_discarded() {
-        let _guard = crate::filter_test_lock();
-        set_filter(Filter::ALL);
         assert!(finish().is_none());
+        assert!(!enabled(Subsystem::Cpu), "no session, no tracing");
         instant(Subsystem::Cpu, "noop", 1, 0, 0);
         assert!(finish().is_none());
     }
 
     #[test]
+    fn a_session_gates_only_its_own_thread() {
+        begin(SessionConfig::filtered(Filter::ALL));
+        assert!(enabled(Subsystem::Mem));
+        std::thread::spawn(|| assert!(!enabled(Subsystem::Mem))).join().unwrap();
+        let _ = finish();
+    }
+
+    #[test]
     fn page_events_shard_by_page_id() {
-        let _guard = crate::filter_test_lock();
-        set_filter(Filter::ALL);
-        begin(SessionConfig::default());
+        begin(SessionConfig::filtered(Filter::ALL));
         complete(Subsystem::Radram, "page.run", 0, 10, 7, 0);
         complete(Subsystem::Radram, "page.run", 10, 20, 9, 0);
         instant(Subsystem::Radram, "irq.service", 5, 0, 0); // not page-scoped
@@ -310,9 +336,7 @@ mod tests {
 
     #[test]
     fn page_sharding_opts_out_with_zero_capacity() {
-        let _guard = crate::filter_test_lock();
-        set_filter(Filter::ALL);
-        begin(SessionConfig { page_ring_capacity: 0, ..SessionConfig::default() });
+        begin(SessionConfig { page_ring_capacity: 0, ..SessionConfig::filtered(Filter::ALL) });
         complete(Subsystem::Radram, "page.run", 0, 10, 7, 0);
         let t = finish().unwrap();
         assert_eq!(t.page_ids().count(), 0);
@@ -322,9 +346,7 @@ mod tests {
 
     #[test]
     fn capture_diverts_then_replay_delivers() {
-        let _guard = crate::filter_test_lock();
-        set_filter(Filter::ALL);
-        begin(SessionConfig::default());
+        begin(SessionConfig::filtered(Filter::ALL));
         capture_begin();
         complete(Subsystem::Radram, "page.run", 0, 10, 1, 0);
         instant(Subsystem::Radram, "irq.service", 5, 0, 0);
@@ -341,9 +363,7 @@ mod tests {
 
     #[test]
     fn captures_nest() {
-        let _guard = crate::filter_test_lock();
-        set_filter(Filter::ALL);
-        begin(SessionConfig::default());
+        begin(SessionConfig::filtered(Filter::ALL));
         capture_begin();
         instant(Subsystem::Radram, "outer", 1, 0, 0);
         capture_begin();
@@ -358,14 +378,12 @@ mod tests {
 
     #[test]
     fn disabled_subsystems_emit_nothing() {
-        let _guard = crate::filter_test_lock();
-        set_filter(Filter::of(&[Subsystem::Mem]));
-        begin(SessionConfig::default());
+        begin(SessionConfig::filtered(Filter::of(&[Subsystem::Mem])));
         instant(Subsystem::Cpu, "bpred.mispredict", 5, 0, 0);
         instant(Subsystem::Mem, "l1d.hit", 5, 0, 0);
         let t = finish().unwrap();
         assert_eq!(t.events(Subsystem::Cpu).count(), 0);
         assert_eq!(t.events(Subsystem::Mem).count(), 1);
-        set_filter(Filter::NONE);
+        assert!(!enabled(Subsystem::Mem), "finishing the session turns tracing off");
     }
 }

@@ -3,13 +3,12 @@
 
 use ap_trace::chrome;
 use ap_trace::session::{begin, finish, SessionConfig};
-use ap_trace::{instant, set_filter, Filter, Subsystem};
+use ap_trace::{instant, Filter, Subsystem};
 
 #[test]
 fn saturated_rings_bound_memory_count_drops_and_mark_exports() {
-    set_filter(Filter::ALL);
     let cap = 64;
-    begin(SessionConfig { ring_capacity: cap, ..SessionConfig::default() });
+    begin(SessionConfig { ring_capacity: cap, ..SessionConfig::filtered(Filter::ALL) });
     for i in 0..(cap as u64 * 10) {
         instant(Subsystem::Mem, "l1d.hit", i, i, 0);
     }

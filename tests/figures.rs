@@ -113,7 +113,7 @@ fn table3_circuits_fit_and_clock_like_the_paper() {
 fn table4_correlations_echo_the_paper() {
     // Through the engine but cache-less: the test must measure, not replay.
     let runner =
-        ap_bench::runner::Runner::with_engine(ap_engine::Engine::from_env().without_cache());
+        active_pages::settings::scoped(|s| s.no_cache = true, ap_bench::runner::Runner::from_env);
     let rows = experiments::table4(&runner, true);
     assert_eq!(rows.len(), 8, "the paper's Table 4 has eight kernels");
     for r in &rows {
