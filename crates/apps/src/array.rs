@@ -12,7 +12,7 @@
 //! one Active Page are deleted processor-side because the SimpleScalar ISA
 //! favors the conventional delete at small sizes.
 
-use crate::common::{fnv_mix, RunReport, SystemKind};
+use crate::common::{fnv_mix, stage_le, RunReport, SystemKind};
 use active_pages::{
     sync, ActivePageMemory, Execution, GroupId, PageFunction, PageSlice, PAGE_SIZE,
 };
@@ -253,12 +253,7 @@ fn run_conventional(
     let mut sys = System::conventional_mode(cfg, mode);
     let base = sys.ram_alloc((n0 + OPS_PER_RUN + 1) * 4, 8);
     // Untimed setup: populate initial contents directly.
-    {
-        for i in 0..n0 {
-            let a = base + (4 * i) as u64;
-            sys.ram_write_u32(a, initial_value(i));
-        }
-    }
+    stage_le(&mut sys, base, (0..n0).map(|i| initial_value(i).to_le_bytes()));
     let mut n = n0;
     let mut checksum = 0u64;
     let t0 = sys.kernel_start();
@@ -311,13 +306,16 @@ fn conventional_shift_left(sys: &mut System, base: VAddr, idx: usize, n: usize) 
     }
 }
 
-fn digest_array(sys: &System, base: VAddr, n: usize, mut h: u64) -> u64 {
-    h = fnv_mix(h, n as u64);
+fn digest_array(sys: &System, base: VAddr, n: usize, h: u64) -> u64 {
     // Sample the full contents host-side (free): correctness check only.
-    for i in 0..n {
-        h = fnv_mix(h, sys.ram_read_u32(base + (4 * i) as u64) as u64);
-    }
-    h
+    digest_words(fnv_mix(h, n as u64), sys.ram_slice(base, 4 * n))
+}
+
+/// Folds the little-endian 32-bit words of `bytes` into `h`.
+fn digest_words(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .chunks_exact(4)
+        .fold(h, |h, w| fnv_mix(h, u32::from_le_bytes(w.try_into().unwrap()) as u64))
 }
 
 struct ApArray {
@@ -336,6 +334,28 @@ impl ApArray {
 
     fn elem_addr(&self, i: usize) -> VAddr {
         word_addr(self.page_base(i / ELEMS_PER_PAGE), i % ELEMS_PER_PAGE)
+    }
+
+    /// Untimed setup: the first `values.len()` elements, page by page.
+    fn stage(&self, sys: &mut System, values: impl ExactSizeIterator<Item = u32>) {
+        let mut values = values.map(u32::to_le_bytes);
+        let mut p = 0;
+        while values.len() > 0 {
+            let n = values.len().min(ELEMS_PER_PAGE);
+            stage_le(sys, word_addr(self.page_base(p), 0), values.by_ref().take(n));
+            p += 1;
+        }
+    }
+
+    /// Folds the element count and then every element, in logical order,
+    /// into `h` (host-side, untimed).
+    fn digest(&self, sys: &System, h: u64) -> u64 {
+        let mut h = fnv_mix(h, self.n as u64);
+        for p in 0..self.n.div_ceil(ELEMS_PER_PAGE) {
+            let n = (self.n - p * ELEMS_PER_PAGE).min(ELEMS_PER_PAGE);
+            h = digest_words(h, sys.ram_slice(word_addr(self.page_base(p), 0), 4 * n));
+        }
+        h
     }
 
     fn insert(&mut self, sys: &mut System, idx: usize, value: u32, dispatch: &mut u64) {
@@ -460,10 +480,7 @@ fn run_radram(
 
     let mut arr = ApArray { base, n: n0 };
     // Untimed setup.
-    for i in 0..n0 {
-        let a = arr.elem_addr(i);
-        sys.ram_write_u32(a, initial_value(i));
-    }
+    arr.stage(&mut sys, (0..n0).map(initial_value));
 
     let mut checksum = 0u64;
     let mut dispatch = 0u64;
@@ -494,11 +511,7 @@ fn run_radram(
     }
     let kernel = sys.kernel_region(t0);
     // Digest the distributed contents in logical order (host-side).
-    checksum = fnv_mix(checksum, arr.n as u64);
-    for i in 0..arr.n {
-        let a = arr.elem_addr(i);
-        checksum = fnv_mix(checksum, sys.ram_read_u32(a) as u64);
-    }
+    checksum = arr.digest(&sys, checksum);
     finish(prim.app_name(), SystemKind::Radram, pages, kernel, kernel, dispatch, checksum, &sys)
 }
 
@@ -551,9 +564,7 @@ pub fn run_script_mode(
         SystemKind::Conventional => {
             let mut sys = System::conventional_mode(cfg, mode);
             let base = sys.ram_alloc(max_len * 4, 8);
-            for (i, v) in script.initial_values().enumerate() {
-                sys.ram_write_u32(base + (4 * i) as u64, v);
-            }
+            stage_le(&mut sys, base, script.initial_values().map(u32::to_le_bytes));
             let mut n = script.initial_len;
             let mut checksum = 0u64;
             let t0 = sys.kernel_start();
@@ -599,10 +610,7 @@ pub fn run_script_mode(
             let group = GroupId::new(1);
             let base = sys.ap_alloc_pages(group, alloc_pages);
             let mut arr = ApArray { base, n: script.initial_len };
-            for (i, v) in script.initial_values().enumerate() {
-                let a = arr.elem_addr(i);
-                sys.ram_write_u32(a, v);
-            }
+            arr.stage(&mut sys, script.initial_values());
             // One circuit is bound at a time; changing operation class
             // re-binds (and re-configures) the group.
             fn ensure(
@@ -648,11 +656,7 @@ pub fn run_script_mode(
                 }
             }
             let kernel = sys.kernel_region(t0);
-            checksum = fnv_mix(checksum, arr.n as u64);
-            for i in 0..arr.n {
-                let a = arr.elem_addr(i);
-                checksum = fnv_mix(checksum, sys.ram_read_u32(a) as u64);
-            }
+            checksum = arr.digest(&sys, checksum);
             finish(
                 "array-script",
                 SystemKind::Radram,

@@ -1,6 +1,7 @@
 //! Shared reporting types for the evaluation applications.
 
-use radram::{ExecMode, SystemStats};
+use ap_mem::VAddr;
+use radram::{ExecMode, System, SystemStats};
 
 /// Which memory system an application run targets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -101,6 +102,31 @@ pub fn read_body_footprint() -> active_pages::StaticFootprint {
     active_pages::StaticFootprint::Known(
         active_pages::PageFootprint::new().with_read(0, page).with_write(0, ctrl),
     )
+}
+
+/// Untimed bulk staging: writes `words`, each already in little-endian
+/// byte order, back to back from `addr` through one
+/// [`System::ram_slice_mut`] view.
+pub(crate) fn stage_le<const N: usize>(
+    sys: &mut System,
+    addr: VAddr,
+    words: impl ExactSizeIterator<Item = [u8; N]>,
+) {
+    let len = words.len() * N;
+    put_le(sys.ram_slice_mut(addr, len), words);
+}
+
+/// Writes `words`, each already in little-endian byte order, back to back
+/// at the front of `dst` and returns the rest of `dst`.
+pub(crate) fn put_le<const N: usize>(
+    dst: &mut [u8],
+    words: impl ExactSizeIterator<Item = [u8; N]>,
+) -> &mut [u8] {
+    let (head, rest) = dst.split_at_mut(words.len() * N);
+    for (d, w) in head.chunks_exact_mut(N).zip(words) {
+        d.copy_from_slice(&w);
+    }
+    rest
 }
 
 /// FNV-1a digest used for result checksums.

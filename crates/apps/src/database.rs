@@ -142,9 +142,7 @@ fn run_conventional(
 ) -> RunReport {
     let mut sys = System::conventional_mode(cfg, mode);
     let base = sys.ram_alloc(records * RECORD_BYTES, 64);
-    for (i, &b) in book.bytes().iter().enumerate() {
-        sys.ram_write_u8(base + i as u64, b);
-    }
+    sys.ram_write_bytes(base, book.bytes());
     let key = key_words(book);
     let t0 = sys.kernel_start();
     let mut count = 0u32;
@@ -230,9 +228,10 @@ fn run_radram(
         let page_base = base + (p * PAGE_SIZE) as u64;
         let lo = p * RECORDS_PER_PAGE;
         let hi = ((p + 1) * RECORDS_PER_PAGE).min(records);
-        for (i, &b) in book.bytes()[lo * RECORD_BYTES..hi * RECORD_BYTES].iter().enumerate() {
-            sys.ram_write_u8(page_base + (sync::BODY_OFFSET + i) as u64, b);
-        }
+        sys.ram_write_bytes(
+            page_base + sync::BODY_OFFSET as u64,
+            &book.bytes()[lo * RECORD_BYTES..hi * RECORD_BYTES],
+        );
     }
     let key = key_words(book);
     let t0 = sys.kernel_start();

@@ -269,12 +269,8 @@ fn run_conventional(
     let a_buf = sys.ram_alloc(n, 8);
     let b_buf = sys.ram_alloc(COLS, 8);
     let table = sys.ram_alloc(n * COLS * 2, 64);
-    for (i, &c) in pair.a.iter().enumerate() {
-        sys.ram_write_u8(a_buf + i as u64, c);
-    }
-    for (j, &c) in pair.b.iter().enumerate() {
-        sys.ram_write_u8(b_buf + j as u64, c);
-    }
+    sys.ram_write_bytes(a_buf, &pair.a);
+    sys.ram_write_bytes(b_buf, &pair.b);
 
     let t0 = sys.kernel_start();
     for i in 0..n {
@@ -333,22 +329,14 @@ fn run_radram(
     }
     let a_buf = sys.ram_alloc(n, 8);
     let b_buf = sys.ram_alloc(COLS, 8);
-    for (i, &c) in pair.a.iter().enumerate() {
-        sys.ram_write_u8(a_buf + i as u64, c);
-    }
-    for (j, &c) in pair.b.iter().enumerate() {
-        sys.ram_write_u8(b_buf + j as u64, c);
-    }
+    sys.ram_write_bytes(a_buf, &pair.a);
+    sys.ram_write_bytes(b_buf, &pair.b);
     // Untimed setup: each page gets its slice of A and all of B.
     for p in 0..npages {
         let pb = base + (p * PAGE_SIZE) as u64;
-        let rows = rows_of(p, n);
-        for k in 0..rows {
-            sys.ram_write_u8(pb + (ACHARS_OFF + k) as u64, pair.a[p * ROWS_PER_PAGE + k]);
-        }
-        for (j, &c) in pair.b.iter().enumerate() {
-            sys.ram_write_u8(pb + (BCHARS_OFF + j) as u64, c);
-        }
+        let a0 = p * ROWS_PER_PAGE;
+        sys.ram_write_bytes(pb + ACHARS_OFF as u64, &pair.a[a0..a0 + rows_of(p, n)]);
+        sys.ram_write_bytes(pb + BCHARS_OFF as u64, &pair.b);
     }
 
     let strips = COLS / STRIP;

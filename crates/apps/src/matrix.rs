@@ -13,7 +13,7 @@
 //! matrices with irregular fill — the Harwell-Boeing stand-in) and
 //! `Simplex` (register-allocation tableaus with regular fill).
 
-use crate::common::{fnv_mix, RunReport, SystemKind};
+use crate::common::{fnv_mix, put_le, stage_le, RunReport, SystemKind};
 use active_pages::{
     sync, ActivePageMemory, Execution, GroupId, PageFunction, PageSlice, PAGE_SIZE,
 };
@@ -220,18 +220,10 @@ fn run_conventional(
     let idx_b = sys.ram_alloc(b.nnz() * 4, 64);
     let val_b = sys.ram_alloc(b.nnz() * 8, 64);
     let results = sys.ram_alloc(pairs * 8, 64);
-    for (k, &c) in a.col_idx.iter().enumerate() {
-        sys.ram_write_u32(idx_a + (k * 4) as u64, c);
-    }
-    for (k, &v) in a.values.iter().enumerate() {
-        sys.ram_write_f64(val_a + (k * 8) as u64, v);
-    }
-    for (k, &c) in b.col_idx.iter().enumerate() {
-        sys.ram_write_u32(idx_b + (k * 4) as u64, c);
-    }
-    for (k, &v) in b.values.iter().enumerate() {
-        sys.ram_write_f64(val_b + (k * 8) as u64, v);
-    }
+    stage_le(&mut sys, idx_a, a.col_idx.iter().map(|c| c.to_le_bytes()));
+    stage_le(&mut sys, val_a, a.values.iter().map(|v| v.to_le_bytes()));
+    stage_le(&mut sys, idx_b, b.col_idx.iter().map(|c| c.to_le_bytes()));
+    stage_le(&mut sys, val_b, b.values.iter().map(|v| v.to_le_bytes()));
 
     let t0 = sys.kernel_start();
     for r in 0..pairs {
@@ -294,30 +286,17 @@ fn run_radram(
 
     // Untimed setup: co-locate each pair's two rows on its page.
     for (p, &(lo, hi)) in layout.spans.iter().enumerate() {
-        let pb = base + (p * PAGE_SIZE) as u64;
-        let mut off = sync::BODY_OFFSET;
+        let body = base + (p * PAGE_SIZE + sync::BODY_OFFSET) as u64;
+        let mut dst = sys.ram_slice_mut(body, PAGE_SIZE - sync::BODY_OFFSET);
         for r in lo..hi {
             let (ra, va) = (a.row_indices(r), a.row_values(r));
             let (rb, vb) = (b.row_indices(r), b.row_values(r));
-            sys.ram_write_u32(pb + off as u64, ra.len() as u32);
-            sys.ram_write_u32(pb + (off + 4) as u64, rb.len() as u32);
-            off += 8;
-            for &c in ra {
-                sys.ram_write_u32(pb + off as u64, c);
-                off += 4;
-            }
-            for &v in va {
-                sys.ram_write_f64(pb + off as u64, v);
-                off += 8;
-            }
-            for &c in rb {
-                sys.ram_write_u32(pb + off as u64, c);
-                off += 4;
-            }
-            for &v in vb {
-                sys.ram_write_f64(pb + off as u64, v);
-                off += 8;
-            }
+            let lens = [ra.len() as u32, rb.len() as u32];
+            dst = put_le(dst, lens.iter().map(|n| n.to_le_bytes()));
+            dst = put_le(dst, ra.iter().map(|c| c.to_le_bytes()));
+            dst = put_le(dst, va.iter().map(|v| v.to_le_bytes()));
+            dst = put_le(dst, rb.iter().map(|c| c.to_le_bytes()));
+            dst = put_le(dst, vb.iter().map(|v| v.to_le_bytes()));
         }
     }
 

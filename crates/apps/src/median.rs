@@ -11,7 +11,7 @@
 //! special page layout (processor work — "Image I/O" in Table 2), phase 2
 //! is the filter kernel itself.
 
-use crate::common::{fnv_mix, RunReport, SystemKind};
+use crate::common::{fnv_mix, stage_le, RunReport, SystemKind};
 use active_pages::{
     sync, ActivePageMemory, Execution, GroupId, PageFunction, PageSlice, PAGE_SIZE,
 };
@@ -140,8 +140,9 @@ pub fn run_mode(kind: SystemKind, pages: f64, cfg: &RadramConfig, mode: ExecMode
     }
 }
 
-fn digest_pixels(iter: impl Iterator<Item = u16>) -> u64 {
-    iter.fold(0u64, |h, px| fnv_mix(h, px as u64))
+/// Folds the little-endian 16-bit pixels of `bytes` into `h`.
+fn digest_pixels(h: u64, bytes: &[u8]) -> u64 {
+    bytes.chunks_exact(2).fold(h, |h, px| fnv_mix(h, u16::from_le_bytes([px[0], px[1]]) as u64))
 }
 
 fn run_conventional(pages: f64, img: &Image, cfg: RadramConfig, mode: ExecMode) -> RunReport {
@@ -150,9 +151,7 @@ fn run_conventional(pages: f64, img: &Image, cfg: RadramConfig, mode: ExecMode) 
     let src = sys.ram_alloc(w * h * 2, 64);
     let work = sys.ram_alloc(w * h * 2, 64);
     let out = sys.ram_alloc(w * h * 2, 64);
-    for (i, &px) in img.pixels.iter().enumerate() {
-        sys.ram_write_u16(src + (i * 2) as u64, px);
-    }
+    stage_le(&mut sys, src, img.pixels.iter().map(|px| px.to_le_bytes()));
 
     let t0 = sys.kernel_start();
     // Phase 1: image I/O — read the source into the working array.
@@ -199,9 +198,11 @@ fn run_conventional(pages: f64, img: &Image, cfg: RadramConfig, mode: ExecMode) 
     let t2 = sys.now();
     let kernel = sys.kernel_region(t1);
 
-    let reference = img.median_filtered();
-    let checksum = digest_pixels((0..w * h).map(|i| sys.ram_read_u16(out + (i * 2) as u64)));
-    debug_assert_eq!(checksum, digest_pixels(reference.pixels.iter().copied()));
+    let checksum = digest_pixels(0, sys.ram_slice(out, w * h * 2));
+    debug_assert_eq!(
+        checksum,
+        img.median_filtered().pixels.iter().fold(0, |h, &px| fnv_mix(h, px as u64))
+    );
     RunReport {
         app: "median",
         system: SystemKind::Conventional,
@@ -228,9 +229,7 @@ fn run_radram(
     let base = sys.ap_alloc_pages(group, part.spans.len());
     sys.ap_bind(group, Arc::new(MedianFn));
     let src = sys.ram_alloc(w * h * 2, 64);
-    for (i, &px) in img.pixels.iter().enumerate() {
-        sys.ram_write_u16(src + (i * 2) as u64, px);
-    }
+    stage_le(&mut sys, src, img.pixels.iter().map(|px| px.to_le_bytes()));
 
     let t0 = sys.kernel_start();
     // Phase 1: layout transform — copy each page's block plus halo rows.
@@ -273,13 +272,8 @@ fn run_radram(
     // Functional digest in global row order (host-side).
     let mut checksum = 0u64;
     for (p, &(r0, r1)) in part.spans.iter().enumerate() {
-        let pb = base + (p * PAGE_SIZE) as u64;
-        for k in 0..(r1 - r0) {
-            for x in 0..w {
-                let v = sys.ram_read_u16(pb + (OUT_OFFSET + (k * w + x) * 2) as u64);
-                checksum = fnv_mix(checksum, v as u64);
-            }
-        }
+        let out = base + (p * PAGE_SIZE + OUT_OFFSET) as u64;
+        checksum = digest_pixels(checksum, sys.ram_slice(out, (r1 - r0) * w * 2));
     }
     RunReport {
         app: "median",

@@ -8,7 +8,7 @@
 //! system ("a RADram MMX instruction can produce up to 256 kbytes of data
 //! per instruction").
 
-use crate::common::{fnv_mix, RunReport, SystemKind};
+use crate::common::{fnv_mix, stage_le, RunReport, SystemKind};
 use active_pages::{
     sync, ActivePageMemory, Execution, GroupId, PageFunction, PageSlice, PAGE_SIZE,
 };
@@ -177,8 +177,9 @@ pub fn run_mode(kind: SystemKind, pages: f64, cfg: &RadramConfig, mode: ExecMode
     }
 }
 
-fn digest(out: impl Iterator<Item = u8>) -> u64 {
-    out.fold(0u64, |h, b| fnv_mix(h, b as u64))
+/// Folds every output pixel of `out` into `h`.
+fn digest(h: u64, out: &[u8]) -> u64 {
+    out.iter().fold(h, |h, &b| fnv_mix(h, b as u64))
 }
 
 fn run_conventional(
@@ -192,12 +193,8 @@ fn run_conventional(
     let src = sys.ram_alloc(npx, 64);
     let corr = sys.ram_alloc(npx * 2, 64);
     let out = sys.ram_alloc(npx, 64);
-    for (i, &p) in frame.predicted.iter().enumerate() {
-        sys.ram_write_u8(src + i as u64, p);
-    }
-    for (i, &c) in frame.correction.iter().enumerate() {
-        sys.ram_write_u16(corr + (i * 2) as u64, c as u16);
-    }
+    sys.ram_write_bytes(src, &frame.predicted);
+    stage_le(&mut sys, corr, frame.correction.iter().map(|c| c.to_le_bytes()));
 
     let t0 = sys.kernel_start();
     // SimpleScalar MMX: 32 bits of result per instruction (4 pixels).
@@ -212,8 +209,8 @@ fn run_conventional(
         sys.alu(2);
     }
     let kernel = sys.kernel_region(t0);
-    let checksum = digest((0..npx).map(|i| sys.ram_read_u8(out + i as u64)));
-    debug_assert_eq!(checksum, digest(frame.corrected().into_iter()));
+    let checksum = digest(0, sys.ram_slice(out, npx));
+    debug_assert_eq!(checksum, digest(0, &frame.corrected()));
     RunReport {
         app: "mpeg-mmx",
         system: SystemKind::Conventional,
@@ -244,10 +241,9 @@ fn run_radram(
         let pb = base + (p * PAGE_SIZE) as u64;
         let lo = p * PX_PER_PAGE;
         let hi = ((p + 1) * PX_PER_PAGE).min(npx);
-        for (k, i) in (lo..hi).enumerate() {
-            sys.ram_write_u8(pb + (SRC_OFF + k) as u64, frame.predicted[i]);
-            sys.ram_write_u16(pb + (CORR_OFF + 2 * k) as u64, frame.correction[i] as u16);
-        }
+        sys.ram_write_bytes(pb + SRC_OFF as u64, &frame.predicted[lo..hi]);
+        let corr = frame.correction[lo..hi].iter().map(|c| c.to_le_bytes());
+        stage_le(&mut sys, pb + CORR_OFF as u64, corr);
     }
 
     let t0 = sys.kernel_start();
@@ -264,9 +260,7 @@ fn run_radram(
         let pb = base + (p * PAGE_SIZE) as u64;
         let lo = p * PX_PER_PAGE;
         let hi = ((p + 1) * PX_PER_PAGE).min(npx);
-        for k in 0..(hi - lo) {
-            checksum = fnv_mix(checksum, sys.ram_read_u8(pb + (OUT_OFF + k) as u64) as u64);
-        }
+        checksum = digest(checksum, sys.ram_slice(pb + OUT_OFF as u64, hi - lo));
     }
     RunReport {
         app: "mpeg-mmx",

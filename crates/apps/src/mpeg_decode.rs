@@ -166,12 +166,8 @@ fn run_conventional(
     let src = sys.ram_alloc(npx, 64);
     let corr = sys.ram_alloc(npx * 2, 64);
     let out = sys.ram_alloc(npx, 64);
-    for (i, &b) in stream_bytes.iter().enumerate() {
-        sys.ram_write_u8(stream + i as u64, b);
-    }
-    for (i, &p) in frame.predicted.iter().enumerate() {
-        sys.ram_write_u8(src + i as u64, p);
-    }
+    sys.ram_write_bytes(stream, &stream_bytes);
+    sys.ram_write_bytes(src, &frame.predicted);
 
     let t0 = sys.kernel_start();
     // Stage 1: entropy decode on the processor.
@@ -254,17 +250,13 @@ fn run_radram(
         let mb = m_base + (p * PAGE_SIZE) as u64;
         let lo_px = p * PX_PER_PAGE;
         let hi_px = ((p + 1) * PX_PER_PAGE).min(npx);
-        for (k, i) in (lo_px..hi_px).enumerate() {
-            sys.ram_write_u8(mb + (SRC_OFF + k) as u64, frame.predicted[i]);
-        }
+        sys.ram_write_bytes(mb + SRC_OFF as u64, &frame.predicted[lo_px..hi_px]);
         let db = d_base + (p * PAGE_SIZE) as u64;
         let lo_b = p * BLOCKS_PER_DPAGE;
         let hi_b = ((p + 1) * BLOCKS_PER_DPAGE).min(nblocks);
         let stream = encode_span(frame, lo_b, hi_b);
         assert!(stream.len() <= COEF_OFF - IN_OFF, "bitstream overflows the input region");
-        for (i, &b) in stream.iter().enumerate() {
-            sys.ram_write_u8(db + (IN_OFF + i) as u64, b);
-        }
+        sys.ram_write_bytes(db + IN_OFF as u64, &stream);
         dpage_meta.push((hi_b - lo_b, stream.len()));
     }
 

@@ -541,34 +541,14 @@ impl System {
 
     /// Writes simulated memory without consuming simulated time. For
     /// workload setup only — measured kernels must use the timed stores.
-    pub fn ram_write_u8(&mut self, addr: VAddr, v: u8) {
-        self.cpu.ram.write_u8(addr, v);
-    }
-
-    /// Untimed bulk write (see [`System::ram_write_u8`]); million-record
-    /// workloads stage their data with this instead of a byte loop.
+    /// Byte data is staged with one call per contiguous region.
     pub fn ram_write_bytes(&mut self, addr: VAddr, bytes: &[u8]) {
-        self.cpu.ram.slice_mut(addr, bytes.len()).copy_from_slice(bytes);
+        self.ram_slice_mut(addr, bytes.len()).copy_from_slice(bytes);
     }
 
-    /// Untimed 16-bit write (see [`System::ram_write_u8`]).
-    pub fn ram_write_u16(&mut self, addr: VAddr, v: u16) {
-        self.cpu.ram.write_u16(addr, v);
-    }
-
-    /// Untimed 32-bit write (see [`System::ram_write_u8`]).
+    /// Untimed 32-bit write (see [`System::ram_write_bytes`]).
     pub fn ram_write_u32(&mut self, addr: VAddr, v: u32) {
         self.cpu.ram.write_u32(addr, v);
-    }
-
-    /// Untimed 64-bit write (see [`System::ram_write_u8`]).
-    pub fn ram_write_u64(&mut self, addr: VAddr, v: u64) {
-        self.cpu.ram.write_u64(addr, v);
-    }
-
-    /// Untimed double write (see [`System::ram_write_u8`]).
-    pub fn ram_write_f64(&mut self, addr: VAddr, v: f64) {
-        self.cpu.ram.write_f64(addr, v);
     }
 
     /// Untimed view of `len` bytes at `addr` (see [`System::ram_read_u8`]).
@@ -577,6 +557,13 @@ impl System {
     /// [`System::alu`] / [`System::branch_run`] (DESIGN.md §13).
     pub fn ram_slice(&self, addr: VAddr, len: usize) -> &[u8] {
         self.cpu.ram.slice(addr, len)
+    }
+
+    /// Untimed mutable view of `len` bytes at `addr`, the twin of
+    /// [`System::ram_slice`]. Workload setup fills typed arrays through it
+    /// in bulk (little-endian, like every simulated load and store).
+    pub fn ram_slice_mut(&mut self, addr: VAddr, len: usize) -> &mut [u8] {
+        self.cpu.ram.slice_mut(addr, len)
     }
 
     /// Charges a strided record scan in bulk: one filter probe per record

@@ -84,7 +84,7 @@ impl Script {
     }
 
     /// Initial contents: small values so `Count` queries hit.
-    pub fn initial_values(&self) -> impl Iterator<Item = u32> + '_ {
+    pub fn initial_values(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
         (0..self.initial_len).map(|i| (i as u32).wrapping_mul(2_654_435_761) % 64)
     }
 

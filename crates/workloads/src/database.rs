@@ -37,51 +37,50 @@ pub struct AddressBook {
 impl AddressBook {
     /// Generates `records` fixed-size address records from `seed`, plus a
     /// query last name guaranteed to appear at least once.
+    ///
+    /// Every field is written straight into its record's bytes and is wide
+    /// enough for its longest value; the rest of it stays NUL. The query is
+    /// read back from the last-name field of a record drawn after the last
+    /// one.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `records` is zero: there is no record to draw the query
+    /// from.
     pub fn generate(seed: u64, records: usize) -> Self {
+        assert!(records > 0, "an address book needs at least one record to draw its query from");
         let mut rng = StdRng::seed_from_u64(seed);
         let mut bytes = vec![0u8; records * RECORD_BYTES];
-        let mut names: Vec<String> = Vec::with_capacity(records);
-        for r in 0..records {
-            let base = r * RECORD_BYTES;
+        for (r, rec) in bytes.chunks_exact_mut(RECORD_BYTES).enumerate() {
             let extra = rng.random_range(0..2);
-            let last = Self::name(&mut rng, 2 + extra);
-            Self::put(&mut bytes[base + LAST_NAME_OFFSET..], &last, LAST_NAME_LEN);
-            let first = Self::name(&mut rng, 2);
-            Self::put(&mut bytes[base + 16..], &first, 12);
-            let street = format!("{} {} st", rng.random_range(1..9999), Self::name(&mut rng, 2));
-            Self::put(&mut bytes[base + 28..], &street, 24);
-            let city = Self::name(&mut rng, 3);
-            Self::put(&mut bytes[base + 52..], &city, 16);
-            let zip = format!("{:05}", rng.random_range(10000..99999));
-            Self::put(&mut bytes[base + 68..], &zip, 8);
-            let phone =
-                format!("{:03}-{:04}", rng.random_range(200..999), rng.random_range(0..9999));
-            Self::put(&mut bytes[base + 76..], &phone, 12);
+            Field::new(&mut rec[LAST_NAME_OFFSET..LAST_NAME_OFFSET + LAST_NAME_LEN])
+                .name(&mut rng, 2 + extra);
+            Field::new(&mut rec[16..28]).name(&mut rng, 2);
+            // The house number is drawn before the street name.
+            let number = rng.random_range(1..9999);
+            Field::new(&mut rec[28..52])
+                .number(number, 1)
+                .text(b" ")
+                .name(&mut rng, 2)
+                .text(b" st");
+            Field::new(&mut rec[52..68]).name(&mut rng, 3);
+            Field::new(&mut rec[68..76]).number(rng.random_range(10000..99999), 5);
+            let area = rng.random_range(200..999);
+            Field::new(&mut rec[76..88])
+                .number(area, 3)
+                .text(b"-")
+                .number(rng.random_range(0..9999), 4);
             // Remaining bytes stay as deterministic filler.
-            for i in 88..RECORD_BYTES {
-                bytes[base + i] = (r as u8).wrapping_mul(31).wrapping_add(i as u8);
+            for (i, b) in rec.iter_mut().enumerate().skip(88) {
+                *b = (r as u8).wrapping_mul(31).wrapping_add(i as u8);
             }
-            names.push(last);
         }
-        let query = names[rng.random_range(0..names.len())].clone();
-        AddressBook { bytes, records, query }
-    }
-
-    fn name(rng: &mut StdRng, syllables: usize) -> String {
-        let mut s = String::new();
-        for _ in 0..syllables {
-            s.push_str(SYLLABLES[rng.random_range(0..SYLLABLES.len())]);
-        }
-        s
-    }
-
-    fn put(dst: &mut [u8], s: &str, field: usize) {
-        let b = s.as_bytes();
-        let n = b.len().min(field);
-        dst[..n].copy_from_slice(&b[..n]);
-        for slot in dst[n..field].iter_mut() {
-            *slot = 0;
-        }
+        let pick = rng.random_range(0..records);
+        let mut book = AddressBook { bytes, records, query: String::new() };
+        let field = book.last_name_field(pick);
+        let len = field.iter().position(|&b| b == 0).unwrap_or(LAST_NAME_LEN);
+        book.query = String::from_utf8(field[..len].to_vec()).expect("names are ASCII");
+        book
     }
 
     /// The raw serialized records.
@@ -111,7 +110,50 @@ impl AddressBook {
         let b = name.as_bytes();
         let n = b.len().min(LAST_NAME_LEN);
         field[..n].copy_from_slice(&b[..n]);
-        (0..self.records).filter(|&r| self.last_name_field(r) == field).count()
+        self.bytes
+            .chunks_exact(RECORD_BYTES)
+            .filter(|rec| rec[LAST_NAME_OFFSET..LAST_NAME_OFFSET + LAST_NAME_LEN] == field)
+            .count()
+    }
+}
+
+/// A cursor over one fixed-width record field. Bytes never written keep the
+/// zero fill they were allocated with, which is the field's NUL padding.
+struct Field<'a> {
+    buf: &'a mut [u8],
+    len: usize,
+}
+
+impl<'a> Field<'a> {
+    fn new(buf: &'a mut [u8]) -> Self {
+        Field { buf, len: 0 }
+    }
+
+    fn text(&mut self, s: &[u8]) -> &mut Self {
+        self.buf[self.len..self.len + s.len()].copy_from_slice(s);
+        self.len += s.len();
+        self
+    }
+
+    /// `syllables` random syllables, drawn one at a time.
+    fn name(&mut self, rng: &mut StdRng, syllables: usize) -> &mut Self {
+        for _ in 0..syllables {
+            self.text(SYLLABLES[rng.random_range(0..SYLLABLES.len())].as_bytes());
+        }
+        self
+    }
+
+    /// `v` in decimal, zero-padded to at least `width` ≥ 1 digits
+    /// (`{:0width$}`).
+    fn number(&mut self, mut v: u32, width: usize) -> &mut Self {
+        let mut digits = [0u8; 10];
+        let mut i = digits.len();
+        while v > 0 || digits.len() - i < width {
+            i -= 1;
+            digits[i] = b'0' + (v % 10) as u8;
+            v /= 10;
+        }
+        self.text(&digits[i..])
     }
 }
 
@@ -150,6 +192,12 @@ mod tests {
         // Name syllables are ASCII; padding is NUL.
         assert!(f.iter().any(|&c| c != 0));
         assert!(f.iter().all(|&c| c == 0 || c.is_ascii_lowercase()));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one record")]
+    fn empty_book_is_rejected() {
+        AddressBook::generate(1, 0);
     }
 
     #[test]

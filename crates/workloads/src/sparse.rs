@@ -62,6 +62,8 @@ impl SparseMatrix {
         let mut col_idx = Vec::new();
         let mut values = Vec::new();
         row_ptr.push(0);
+        // One row buffer, reused by every row.
+        let mut cols: Vec<u32> = Vec::with_capacity(band.max(4) + 1);
         for r in 0..n {
             // Heavy-tailed fill: 1/8 of rows are "element boundary" rows with
             // dense band coupling, the rest are sparse.
@@ -69,14 +71,14 @@ impl SparseMatrix {
                 if rng.random_range(0..8) == 0 { band.max(4) } else { 2 + rng.random_range(0..4) };
             let lo = r.saturating_sub(band / 2);
             let hi = (r + band / 2 + 1).min(n);
-            let mut cols: Vec<u32> = Vec::with_capacity(fill + 1);
+            cols.clear();
             cols.push(r as u32); // diagonal always present
             for _ in 0..fill {
                 cols.push(rng.random_range(lo as u32..hi as u32));
             }
             cols.sort_unstable();
             cols.dedup();
-            for c in cols {
+            for &c in &cols {
                 col_idx.push(c);
                 values.push(rng.random_range(-1000..1000) as f64 / 64.0);
             }
@@ -94,14 +96,16 @@ impl SparseMatrix {
         let mut col_idx = Vec::new();
         let mut values = Vec::new();
         row_ptr.push(0);
+        // One row buffer, reused by every row.
+        let mut cols_r: Vec<u32> = Vec::with_capacity(10);
         for r in 0..n {
             let fill = 6 + rng.random_range(0..4); // regular fill
-            let mut cols_r: Vec<u32> =
-                (0..fill).map(|_| rng.random_range(0..cols as u32)).collect();
+            cols_r.clear();
+            cols_r.extend((0..fill).map(|_| rng.random_range(0..cols as u32)));
             cols_r.push((r % cols) as u32); // slack-ish structural column
             cols_r.sort_unstable();
             cols_r.dedup();
-            for c in cols_r {
+            for &c in &cols_r {
                 col_idx.push(c);
                 values.push(
                     if rng.random_range(0..2) == 0 { 1.0 } else { -1.0 }
