@@ -215,6 +215,9 @@ fn accept_loop(listener: &TcpListener, daemon: &Arc<Daemon>) {
 /// protocol.
 fn serve_connection(stream: TcpStream, daemon: &Arc<Daemon>) {
     use std::io::Read as _;
+    // Replies are small frames; without this, a frame written while the
+    // previous one is unacknowledged waits out the peer's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else { return };
     let mut reader = BufReader::new(stream);
     // Read exactly 4 bytes to recognize an HTTP GET, then chain them back
@@ -254,16 +257,20 @@ impl FrameWriter {
     }
 
     fn send(&self, response: &Response) {
-        write_frame(&mut self.lock(), response);
+        write_frames(&mut self.lock(), std::slice::from_ref(response));
     }
 }
 
-/// Writes one frame to an already-locked connection. A dead peer is normal
-/// (client crashed mid-sweep); the frame is silently dropped.
-fn write_frame(stream: &mut TcpStream, response: &Response) {
-    let mut line = response.encode();
-    line.push('\n');
-    let _ = stream.write_all(line.as_bytes());
+/// Writes frames to an already-locked connection in one write. A dead
+/// peer is normal (client crashed mid-sweep); the frames are silently
+/// dropped.
+fn write_frames(stream: &mut TcpStream, responses: &[Response]) {
+    let mut lines = String::new();
+    for response in responses {
+        lines.push_str(&response.encode());
+        lines.push('\n');
+    }
+    let _ = stream.write_all(lines.as_bytes());
 }
 
 /// Discards input up to the next newline (or EOF, or `cap` bytes).
@@ -378,16 +385,16 @@ fn handle_submit(
             daemon.registry.add("apd.cache_hits", 1);
             daemon.registry.add("apd.jobs_completed", 1);
             record_job(daemon, job_id, client, &key, "ok");
-            record_manifest(daemon, &key, "ok", None, true, 0.0, &Some(report.clone()));
-            writer.send(&Response::Accepted { job: job_id, key: key.clone() });
-            writer.send(&Response::Done {
+            record_manifest(daemon, &key, "ok", None, true, 0.0, Some(&report));
+            let done = Response::Done {
                 job: job_id,
-                key,
+                key: key.clone(),
                 outcome: Outcome::Ok,
                 cache_hit: true,
                 wall_ms: 0,
                 report: Some((daemon.codec.encode)(&report)),
-            });
+            };
+            write_frames(&mut writer.lock(), &[Response::Accepted { job: job_id, key }, done]);
             return;
         }
     }
@@ -412,7 +419,7 @@ fn handle_submit(
         let mut guard = writer.lock();
         let result = daemon.service.submit(client, job, deadline, on_done);
         if result.is_ok() {
-            write_frame(&mut guard, &Response::Accepted { job: job_id, key });
+            write_frames(&mut guard, &[Response::Accepted { job: job_id, key }]);
         }
         result
     };
@@ -454,7 +461,7 @@ fn complete_job(
             }
             daemon.registry.add("apd.jobs_completed", 1);
             daemon.registry.add("apd.cache_misses", 1);
-            (Outcome::Ok, Some(report.clone()))
+            (Outcome::Ok, Some(report))
         }
         Err(JobError::Panicked(msg)) => {
             daemon.registry.add("apd.jobs_failed", 1);
@@ -481,14 +488,14 @@ fn complete_job(
         Outcome::Ok => None,
     };
     record_job(daemon, job_id, completion.client, &completion.key, outcome.tag());
-    record_manifest(daemon, &completion.key, outcome.tag(), error, false, wall_ms, &report);
+    record_manifest(daemon, &completion.key, outcome.tag(), error, false, wall_ms, report);
     writer.send(&Response::Done {
         job: job_id,
         key: completion.key.clone(),
         outcome,
         cache_hit: false,
         wall_ms: wall_ms as u64,
-        report: report.as_ref().map(|r| (daemon.codec.encode)(r)),
+        report: report.map(daemon.codec.encode),
     });
 }
 
@@ -499,7 +506,7 @@ fn record_manifest(
     error: Option<String>,
     cache_hit: bool,
     wall_ms: f64,
-    report: &Option<RunReport>,
+    report: Option<&RunReport>,
 ) {
     let Some(writer) = &daemon.manifest else { return };
     let diag = match (daemon.codec.diag, report) {

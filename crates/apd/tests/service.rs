@@ -274,3 +274,37 @@ fn status_and_draining_rejection() {
         }
     }
 }
+
+/// A long-lived client re-submitting one point: every cache hit answers in
+/// well under the 40 ms delayed-ACK floor that small frames without
+/// `TCP_NODELAY` would wait for.
+#[test]
+fn long_lived_client_hits_do_not_wait_for_delayed_acks() {
+    let dir = temp_dir("nodelay");
+    let mut server = Server::start(DaemonConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: Some(1),
+        cache_dir: Some(dir.join("cache")),
+        ..DaemonConfig::default()
+    })
+    .unwrap();
+    let mut client = Client::connect(server.addr()).unwrap();
+    let spec = WireSpec::point(App::Database, SystemKind::Radram, 0.25);
+    let mut hits_ms = Vec::new();
+    for round in 0..20 {
+        let started = std::time::Instant::now();
+        client.submit(&spec, None, 0).unwrap();
+        let done = client.collect().unwrap();
+        let ms = started.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(done.outcome, Outcome::Ok);
+        assert_eq!(done.cache_hit, round > 0);
+        if done.cache_hit {
+            hits_ms.push(ms);
+        }
+    }
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+    hits_ms.sort_by(f64::total_cmp);
+    let median = hits_ms[hits_ms.len() / 2];
+    assert!(median < 10.0, "median hit latency {median:.2} ms; all: {hits_ms:?}");
+}

@@ -19,7 +19,6 @@ use active_pages::{
 use ap_mem::VAddr;
 use radram::{ExecMode, PageActivation, RadramConfig, System};
 use std::sync::Arc;
-use std::sync::OnceLock;
 
 /// Elements stored per Active Page (body words minus a spare slot region).
 pub const ELEMS_PER_PAGE: usize = 131_040;
@@ -33,10 +32,6 @@ const CMD_COUNT: u32 = 3;
 
 fn word_addr(base: VAddr, word: usize) -> VAddr {
     base + (sync::BODY_OFFSET + 4 * word) as u64
-}
-
-fn synth_les(circuit: &'static str, cache: &'static OnceLock<u32>) -> u32 {
-    *cache.get_or_init(|| ap_synth::circuits::logic_elements(circuit))
 }
 
 /// The insert-side shifter circuit (Table 3's `Array-insert`).
@@ -86,8 +81,7 @@ impl PageFunction for ArrayInsertFn {
     }
 
     fn logic_elements(&self) -> u32 {
-        static LES: OnceLock<u32> = OnceLock::new();
-        synth_les("Array-insert", &LES)
+        ap_synth::circuits::logic_elements("Array-insert")
     }
 
     fn execute(&self, page: &mut PageSlice<'_>) -> Execution {
@@ -106,8 +100,7 @@ impl PageFunction for ArrayDeleteFn {
     }
 
     fn logic_elements(&self) -> u32 {
-        static LES: OnceLock<u32> = OnceLock::new();
-        synth_les("Array-delete", &LES)
+        ap_synth::circuits::logic_elements("Array-delete")
     }
 
     fn execute(&self, page: &mut PageSlice<'_>) -> Execution {
@@ -126,8 +119,7 @@ impl PageFunction for ArrayFindFn {
     }
 
     fn logic_elements(&self) -> u32 {
-        static LES: OnceLock<u32> = OnceLock::new();
-        synth_les("Array-find", &LES)
+        ap_synth::circuits::logic_elements("Array-find")
     }
 
     fn execute(&self, page: &mut PageSlice<'_>) -> Execution {

@@ -10,10 +10,12 @@ use crate::common::{fnv_mix, RunReport, SystemKind};
 use active_pages::{
     sync, ActivePageMemory, Execution, GroupId, PageFunction, PageSlice, PAGE_SIZE,
 };
-use ap_workloads::database::{AddressBook, LAST_NAME_LEN, RECORD_BYTES};
+use ap_mem::VAddr;
+use ap_workloads::database::{
+    count_matches, AddressBook, RecordWriter, LAST_NAME_LEN, RECORD_BYTES,
+};
 use radram::{ExecMode, PageActivation, RadramConfig, System};
 use std::sync::Arc;
-use std::sync::OnceLock;
 
 /// Records stored per Active Page.
 pub const RECORDS_PER_PAGE: usize = 4000;
@@ -36,8 +38,7 @@ impl PageFunction for DatabaseSearchFn {
     }
 
     fn logic_elements(&self) -> u32 {
-        static LES: OnceLock<u32> = OnceLock::new();
-        *LES.get_or_init(|| ap_synth::circuits::logic_elements("Database"))
+        ap_synth::circuits::logic_elements("Database")
     }
 
     fn execute(&self, page: &mut PageSlice<'_>) -> Execution {
@@ -66,16 +67,34 @@ impl PageFunction for DatabaseSearchFn {
     }
 }
 
-fn book_for(pages: f64) -> (AddressBook, usize) {
-    let records = ((pages * RECORDS_PER_PAGE as f64) as usize).max(16);
-    (AddressBook::generate(0xDB5EED, records), records)
+/// Generates the address book of `records` records straight into simulated
+/// RAM (untimed), in record order over `blocks` of `(address, records)`.
+/// Returns the query's NUL-padded last-name field, read from the record
+/// the generator picks, and its match count over the staged records.
+fn stage_book(
+    sys: &mut System,
+    records: usize,
+    blocks: &[(VAddr, usize)],
+) -> ([u8; LAST_NAME_LEN], usize) {
+    let mut writer = RecordWriter::new(0xDB5EED, records);
+    for &(addr, n) in blocks {
+        writer.write(sys.ram_slice_mut(addr, n * RECORD_BYTES));
+    }
+    let mut pick = writer.query_record();
+    let mut key = [0u8; LAST_NAME_LEN];
+    for &(addr, n) in blocks {
+        if pick < n {
+            key.copy_from_slice(sys.ram_slice(addr + (pick * RECORD_BYTES) as u64, LAST_NAME_LEN));
+            break;
+        }
+        pick -= n;
+    }
+    let expected =
+        blocks.iter().map(|&(addr, n)| count_matches(sys.ram_slice(addr, n * RECORD_BYTES), &key));
+    (key, expected.sum())
 }
 
-fn key_words(book: &AddressBook) -> [u32; 4] {
-    let mut key = [0u8; LAST_NAME_LEN];
-    let q = book.query().as_bytes();
-    let n = q.len().min(LAST_NAME_LEN);
-    key[..n].copy_from_slice(&q[..n]);
+fn key_words(key: &[u8; LAST_NAME_LEN]) -> [u32; 4] {
     let mut words = [0u32; 4];
     for (w, slot) in words.iter_mut().enumerate() {
         *slot = u32::from_le_bytes(key[w * 4..w * 4 + 4].try_into().unwrap());
@@ -100,13 +119,13 @@ pub fn run(kind: SystemKind, pages: f64, cfg: &RadramConfig) -> RunReport {
 
 /// [`run`] on the execution tier `mode` selects (see DESIGN.md §13).
 pub fn run_mode(kind: SystemKind, pages: f64, cfg: &RadramConfig, mode: ExecMode) -> RunReport {
-    let (book, records) = book_for(pages);
+    let records = ((pages * RECORDS_PER_PAGE as f64) as usize).max(16);
     let alloc_pages = records.div_ceil(RECORDS_PER_PAGE);
     let mut cfg = cfg.clone();
     cfg.ram_capacity = (alloc_pages + 6) * PAGE_SIZE;
     match kind {
-        SystemKind::Conventional => run_conventional(pages, &book, records, cfg, mode),
-        SystemKind::Radram => run_radram(pages, &book, records, alloc_pages, cfg, mode),
+        SystemKind::Conventional => run_conventional(pages, records, cfg, mode),
+        SystemKind::Radram => run_radram(pages, records, alloc_pages, cfg, mode),
     }
 }
 
@@ -133,17 +152,11 @@ fn report(
     }
 }
 
-fn run_conventional(
-    pages: f64,
-    book: &AddressBook,
-    records: usize,
-    cfg: RadramConfig,
-    mode: ExecMode,
-) -> RunReport {
+fn run_conventional(pages: f64, records: usize, cfg: RadramConfig, mode: ExecMode) -> RunReport {
     let mut sys = System::conventional_mode(cfg, mode);
     let base = sys.ram_alloc(records * RECORD_BYTES, 64);
-    sys.ram_write_bytes(base, book.bytes());
-    let key = key_words(book);
+    let (field, expected) = stage_book(&mut sys, records, &[(base, records)]);
+    let key = key_words(&field);
     let t0 = sys.kernel_start();
     let mut count = 0u32;
     if sys.mode() == ExecMode::Fast {
@@ -200,20 +213,11 @@ fn run_conventional(
         }
     }
     let kernel = sys.kernel_region(t0);
-    report(
-        SystemKind::Conventional,
-        pages,
-        kernel,
-        0,
-        count,
-        book.expected_matches(book.query()),
-        &sys,
-    )
+    report(SystemKind::Conventional, pages, kernel, 0, count, expected, &sys)
 }
 
 fn run_radram(
     pages: f64,
-    book: &AddressBook,
     records: usize,
     alloc_pages: usize,
     cfg: RadramConfig,
@@ -223,17 +227,16 @@ fn run_radram(
     let group = GroupId::new(2);
     let base = sys.ap_alloc_pages(group, alloc_pages);
     sys.ap_bind(group, Arc::new(DatabaseSearchFn));
-    // Untimed setup: distribute record blocks over the pages.
-    for p in 0..alloc_pages {
-        let page_base = base + (p * PAGE_SIZE) as u64;
-        let lo = p * RECORDS_PER_PAGE;
-        let hi = ((p + 1) * RECORDS_PER_PAGE).min(records);
-        sys.ram_write_bytes(
-            page_base + sync::BODY_OFFSET as u64,
-            &book.bytes()[lo * RECORD_BYTES..hi * RECORD_BYTES],
-        );
-    }
-    let key = key_words(book);
+    // Record blocks are distributed over the page bodies.
+    let blocks: Vec<(VAddr, usize)> = (0..alloc_pages)
+        .map(|p| {
+            let lo = p * RECORDS_PER_PAGE;
+            let hi = ((p + 1) * RECORDS_PER_PAGE).min(records);
+            (base + (p * PAGE_SIZE + sync::BODY_OFFSET) as u64, hi - lo)
+        })
+        .collect();
+    let (field, expected) = stage_book(&mut sys, records, &blocks);
+    let key = key_words(&field);
     let t0 = sys.kernel_start();
     // Initiate the query on every page.
     let d0 = sys.now();
@@ -260,15 +263,7 @@ fn run_radram(
         sys.alu(2);
     }
     let kernel = sys.kernel_region(t0);
-    report(
-        SystemKind::Radram,
-        pages,
-        kernel,
-        dispatch,
-        count,
-        book.expected_matches(book.query()),
-        &sys,
-    )
+    report(SystemKind::Radram, pages, kernel, dispatch, count, expected, &sys)
 }
 
 pub mod xl {
@@ -625,7 +620,9 @@ mod tests {
         for (i, &b) in book.bytes().iter().enumerate() {
             page[sync::BODY_OFFSET + i] = b;
         }
-        let key = key_words(&book);
+        let mut field = [0u8; LAST_NAME_LEN];
+        field[..book.query().len()].copy_from_slice(book.query().as_bytes());
+        let key = key_words(&field);
         exec.write_u32(0, sync::ctrl_offset(sync::PARAM), 200);
         for (w, &kw) in key.iter().enumerate() {
             exec.write_u32(0, sync::ctrl_offset(sync::PARAM + 1 + w), kw);

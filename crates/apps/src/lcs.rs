@@ -14,7 +14,6 @@ use ap_mem::VAddr;
 use ap_workloads::dna::SequencePair;
 use radram::{ExecMode, RadramConfig, System};
 use std::sync::Arc;
-use std::sync::OnceLock;
 
 /// Table columns (sequence B length).
 pub const COLS: usize = 4096;
@@ -91,8 +90,7 @@ impl PageFunction for LcsFn {
     }
 
     fn logic_elements(&self) -> u32 {
-        static LES: OnceLock<u32> = OnceLock::new();
-        *LES.get_or_init(|| ap_synth::circuits::logic_elements("Dynamic Prog"))
+        ap_synth::circuits::logic_elements("Dynamic Prog")
     }
 
     fn execute(&self, page: &mut PageSlice<'_>) -> Execution {

@@ -21,7 +21,6 @@ use ap_mem::VAddr;
 use ap_workloads::sparse::SparseMatrix;
 use radram::{ExecMode, PageActivation, RadramConfig, System};
 use std::sync::Arc;
-use std::sync::OnceLock;
 
 /// Nominal dot-product pairs per Active Page.
 pub const PAIRS_PER_PAGE: usize = 1300;
@@ -79,8 +78,7 @@ impl PageFunction for MatrixGatherFn {
     }
 
     fn logic_elements(&self) -> u32 {
-        static LES: OnceLock<u32> = OnceLock::new();
-        *LES.get_or_init(|| ap_synth::circuits::logic_elements("Matrix"))
+        ap_synth::circuits::logic_elements("Matrix")
     }
 
     fn execute(&self, page: &mut PageSlice<'_>) -> Execution {

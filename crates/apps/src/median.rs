@@ -18,7 +18,6 @@ use active_pages::{
 use ap_workloads::image::Image;
 use radram::{ExecMode, PageActivation, RadramConfig, System};
 use std::sync::Arc;
-use std::sync::OnceLock;
 
 /// Image width in pixels (one row = 1 KB).
 pub const WIDTH: usize = 512;
@@ -51,8 +50,7 @@ impl PageFunction for MedianFn {
         // The nine-value sorting network plus stream counters; the paper
         // does not list median in Table 3 (it reuses the dynamic-prog
         // min/max units), so we budget it with the dynprog circuit.
-        static LES: OnceLock<u32> = OnceLock::new();
-        *LES.get_or_init(|| ap_synth::circuits::logic_elements("Dynamic Prog"))
+        ap_synth::circuits::logic_elements("Dynamic Prog")
     }
 
     fn execute(&self, page: &mut PageSlice<'_>) -> Execution {

@@ -16,7 +16,6 @@ use ap_cpu::mmx::{self, MmxOp};
 use ap_workloads::mpeg::FrameWorkload;
 use radram::{ExecMode, RadramConfig, System};
 use std::sync::Arc;
-use std::sync::OnceLock;
 
 /// Pixels processed per Active Page (each needs src, corr, tmp and out
 /// regions in the page body).
@@ -51,8 +50,7 @@ impl PageFunction for MmxPageFn {
     }
 
     fn logic_elements(&self) -> u32 {
-        static LES: OnceLock<u32> = OnceLock::new();
-        *LES.get_or_init(|| ap_synth::circuits::logic_elements("MPEG-MMX"))
+        ap_synth::circuits::logic_elements("MPEG-MMX")
     }
 
     fn execute(&self, page: &mut PageSlice<'_>) -> Execution {

@@ -7,9 +7,11 @@
 //! `RunReport::app`) onto the diagnostic totals of the artifacts that
 //! implement it, which is what the engine manifest records per job.
 
+use ap_apps::App;
 use ap_engine::manifest::DiagCounts;
 use ap_lint::Report;
 use ap_synth::circuits;
+use std::sync::OnceLock;
 
 /// Lints every synthesizable circuit: the seven Table 3 designs plus the
 /// two Section 10 extension circuits, in that order.
@@ -79,11 +81,32 @@ fn kernel_for_app(app: &str) -> Option<&'static str> {
     })
 }
 
+/// One memo slot per [`App::ALL`] entry, in that order.
+type Memo = [OnceLock<DiagCounts>; App::ALL.len()];
+
 /// Diagnostic totals for the artifacts behind application `app`: its
 /// Table 3 circuit (when it has one) plus its SS-lite kernel — the kernel
 /// contributing both its structural lint and its static race/footprint
 /// analysis. Unknown names have no artifacts and report zero.
+///
+/// Each [`App::ALL`] entry is analysed once per process; concurrent first
+/// callers wait on that one computation. The artifacts and the lint code
+/// are compiled in, so the totals cannot change while a process runs, and
+/// the next process recomputes them. Names outside [`App::ALL`] (such as
+/// `database-xl`) are analysed on every call.
 pub fn counts_for_app(app: &str) -> DiagCounts {
+    static MEMO: Memo = [const { OnceLock::new() }; App::ALL.len()];
+    memoised(&MEMO, app)
+}
+
+fn memoised(memo: &Memo, app: &str) -> DiagCounts {
+    match App::ALL.iter().position(|a| a.name() == app) {
+        Some(i) => *memo[i].get_or_init(|| analyse(app)),
+        None => analyse(app),
+    }
+}
+
+fn analyse(app: &str) -> DiagCounts {
     let mut counts = DiagCounts::default();
     let mut add = |r: &Report| {
         counts.errors += r.errors();
@@ -103,7 +126,6 @@ pub fn counts_for_app(app: &str) -> DiagCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ap_apps::App;
 
     #[test]
     fn corpus_covers_circuits_and_kernels() {
@@ -121,6 +143,30 @@ mod tests {
     #[test]
     fn unknown_apps_count_nothing() {
         assert_eq!(counts_for_app("nonesuch"), DiagCounts::default());
+    }
+
+    /// The memo returns what a fresh analysis returns, for every app, also
+    /// when two threads ask for the same app first.
+    #[test]
+    fn memoised_counts_equal_a_fresh_analysis() {
+        let memo: Memo = [const { OnceLock::new() }; App::ALL.len()];
+        let start = std::sync::Barrier::new(2);
+        for app in App::ALL.map(App::name) {
+            let fresh = analyse(app);
+            let first = std::thread::scope(|s| {
+                let ask = || {
+                    start.wait();
+                    memoised(&memo, app)
+                };
+                let (a, b) = (s.spawn(ask), s.spawn(ask));
+                [a.join().unwrap(), b.join().unwrap()]
+            });
+            assert_eq!(first, [fresh; 2], "{app}");
+            assert_eq!(memoised(&memo, app), fresh, "{app}");
+            assert_eq!(counts_for_app(app), fresh, "{app}");
+        }
+        assert!(memo.iter().all(|slot| slot.get().is_some()));
+        assert_eq!(counts_for_app("database-xl"), analyse("database-xl"));
     }
 
     /// The footprint analyzer hard-codes the page geometry (ap-risc cannot

@@ -184,10 +184,11 @@ pub fn report_codec() -> Codec<RunReport> {
 
 /// Diagnostic totals for a report: the lint findings of the circuit and
 /// kernel implementing its application, plus any dynamic race findings the
-/// access sanitizer recorded during the run itself. Static counts are
-/// computed fresh on every job (cache hits included), so lint-pass changes
-/// surface without invalidating the simulation cache; the dynamic counts
-/// ride in the cached report's stats.
+/// access sanitizer recorded during the run itself. Static counts are not
+/// part of the cached report: they come from [`crate::lint_corpus`], which
+/// analyses each app once per process, so lint-pass changes surface without
+/// invalidating the simulation cache. The dynamic counts ride in the cached
+/// report's stats.
 fn report_diag(r: &RunReport) -> ap_engine::manifest::DiagCounts {
     let mut counts = crate::lint_corpus::counts_for_app(r.app);
     counts.errors += r.stats.race_errors as u32;

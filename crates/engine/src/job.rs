@@ -66,9 +66,6 @@ pub struct JobOutcome<T> {
     pub cache_hit: bool,
     /// Index of the worker that processed the job.
     pub worker: usize,
-    /// Static-analysis totals for the value, when the batch's
-    /// [`Codec::diag`] hook provides them (errored jobs carry `None`).
-    pub diag: Option<crate::manifest::DiagCounts>,
     /// Path of the exported Chrome trace for this job, when the engine ran
     /// with tracing enabled and the job executed fresh (cache hits simulate
     /// nothing, so they carry no trace).
@@ -87,9 +84,10 @@ pub struct Codec<T> {
     /// Deserializes a cached result; `None` forces a re-run.
     pub decode: fn(&str) -> Option<T>,
     /// Optional static-analysis hook: derives diagnostic totals from a
-    /// value for the manifest. Runs on fresh values *and* cache hits (the
-    /// counts are recomputed, not cached, so lint-pass changes show up
-    /// without invalidating cached simulation results).
+    /// value for the manifest. It runs only where a manifest line is
+    /// written, for fresh values *and* cache hits: the counts are not part
+    /// of the cached value, so lint-pass changes show up without
+    /// invalidating cached simulation results.
     pub diag: Option<fn(&T) -> crate::manifest::DiagCounts>,
 }
 

@@ -174,8 +174,10 @@ impl Engine {
     ///
     /// With a `codec` and an enabled cache, each job first probes the disk
     /// cache and each fresh result is persisted; without either, every job
-    /// computes. Panics and deadline overruns surface as [`JobError`]s in
-    /// the affected outcome only.
+    /// computes. The codec's [`Codec::diag`] hook runs only for manifest
+    /// lines, once per successful job, on the collecting thread. Panics and
+    /// deadline overruns surface as [`JobError`]s in the affected outcome
+    /// only.
     pub fn run<T: Send + 'static>(
         &self,
         jobs: Vec<Job<T>>,
@@ -234,7 +236,11 @@ impl Engine {
                     break; // all workers gone; missing slots filled below
                 };
                 if let Some(w) = manifest.as_mut() {
-                    w.record(&manifest::Entry::of(&outcome));
+                    let diag = match (&outcome.result, &codec) {
+                        (Ok(value), Some(codec)) => codec.diag.map(|f| f(value)),
+                        _ => None,
+                    };
+                    w.record(&manifest::Entry::of(&outcome, diag));
                 }
                 results[index] = Some(outcome);
                 done += 1;
@@ -258,7 +264,6 @@ impl Engine {
                     wall: Duration::ZERO,
                     cache_hit: false,
                     worker: 0,
-                    diag: None,
                     trace: None,
                 })
             })
@@ -283,14 +288,12 @@ impl Engine {
 
             if let (Some(cache), Some(codec)) = (&self.cache, &codec) {
                 if let Some(value) = cache.load(&key, &self.salt, codec) {
-                    let diag = codec.diag.map(|f| f(&value));
                     let outcome = JobOutcome {
                         key,
                         result: Ok(value),
                         wall: started.elapsed(),
                         cache_hit: true,
                         worker,
-                        diag,
                         trace: None,
                     };
                     let _ = tx.send((index, outcome));
@@ -309,17 +312,12 @@ impl Engine {
             if let (Ok(value), Some(cache), Some(codec)) = (&result, &self.cache, &codec) {
                 cache.store(&key, &self.salt, value, codec);
             }
-            let diag = match (&result, &codec) {
-                (Ok(value), Some(codec)) => codec.diag.map(|f| f(value)),
-                _ => None,
-            };
             let outcome = JobOutcome {
                 key,
                 result,
                 wall: started.elapsed(),
                 cache_hit: false,
                 worker,
-                diag,
                 trace,
             };
             let _ = tx.send((index, outcome));

@@ -43,8 +43,10 @@ pub struct Entry {
 }
 
 impl Entry {
-    /// Builds the manifest entry for `outcome`.
-    pub fn of<T>(outcome: &JobOutcome<T>) -> Entry {
+    /// Builds the manifest entry for `outcome`, with the static-analysis
+    /// totals `diag` of its value (`None` when the batch has no diag hook or
+    /// the job failed).
+    pub fn of<T>(outcome: &JobOutcome<T>, diag: Option<DiagCounts>) -> Entry {
         let (kind, error) = match &outcome.result {
             Ok(_) => ("ok", None),
             Err(e @ JobError::Panicked(_)) => ("panicked", Some(e.to_string())),
@@ -58,7 +60,7 @@ impl Entry {
             cache_hit: outcome.cache_hit,
             wall_ms: outcome.wall.as_secs_f64() * 1e3,
             worker: outcome.worker,
-            diag: outcome.diag,
+            diag,
             trace: outcome.trace.as_ref().map(|p| p.display().to_string()),
         }
     }

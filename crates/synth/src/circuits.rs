@@ -11,6 +11,7 @@
 
 use crate::blocks;
 use crate::netlist::{Bus, Netlist, NodeId};
+use std::sync::OnceLock;
 
 /// Word-address width within one 512 KB page (2^17 words).
 pub const ADDR_BITS: usize = 17;
@@ -481,17 +482,21 @@ pub fn all() -> Vec<CircuitSpec> {
     ]
 }
 
-/// Logic elements of the named circuit after mapping.
+/// Logic elements of the named circuit after mapping. Each circuit is
+/// synthesized once per process; concurrent first callers wait on that one
+/// mapping.
 ///
 /// # Panics
 ///
 /// Panics if `name` is not one of the Table 3 circuits.
 pub fn logic_elements(name: &str) -> u32 {
-    let spec = all()
-        .into_iter()
-        .find(|c| c.name.eq_ignore_ascii_case(name))
+    static LES: [OnceLock<u32>; 7] = [const { OnceLock::new() }; 7];
+    let specs = all();
+    let i = specs
+        .iter()
+        .position(|c| c.name.eq_ignore_ascii_case(name))
         .unwrap_or_else(|| panic!("unknown circuit '{name}'"));
-    crate::mapper::map(&(spec.build)()).logic_elements
+    *LES[i].get_or_init(|| crate::mapper::map(&(specs[i].build)()).logic_elements)
 }
 
 #[cfg(test)]
@@ -517,6 +522,9 @@ mod tests {
                 spec.name,
                 m.logic_elements
             );
+            // The memo has a slot for every circuit and returns the mapping.
+            assert_eq!(logic_elements(spec.name), m.logic_elements, "{}", spec.name);
+            assert_eq!(logic_elements(&spec.name.to_uppercase()), m.logic_elements);
         }
     }
 

@@ -38,44 +38,18 @@ impl AddressBook {
     /// Generates `records` fixed-size address records from `seed`, plus a
     /// query last name guaranteed to appear at least once.
     ///
-    /// Every field is written straight into its record's bytes and is wide
-    /// enough for its longest value; the rest of it stays NUL. The query is
-    /// read back from the last-name field of a record drawn after the last
-    /// one.
+    /// The records are written in one pass by a [`RecordWriter`]. The query
+    /// is read back from the last-name field of the record it picks.
     ///
     /// # Panics
     ///
     /// Panics if `records` is zero: there is no record to draw the query
     /// from.
     pub fn generate(seed: u64, records: usize) -> Self {
-        assert!(records > 0, "an address book needs at least one record to draw its query from");
-        let mut rng = StdRng::seed_from_u64(seed);
+        let mut writer = RecordWriter::new(seed, records);
         let mut bytes = vec![0u8; records * RECORD_BYTES];
-        for (r, rec) in bytes.chunks_exact_mut(RECORD_BYTES).enumerate() {
-            let extra = rng.random_range(0..2);
-            Field::new(&mut rec[LAST_NAME_OFFSET..LAST_NAME_OFFSET + LAST_NAME_LEN])
-                .name(&mut rng, 2 + extra);
-            Field::new(&mut rec[16..28]).name(&mut rng, 2);
-            // The house number is drawn before the street name.
-            let number = rng.random_range(1..9999);
-            Field::new(&mut rec[28..52])
-                .number(number, 1)
-                .text(b" ")
-                .name(&mut rng, 2)
-                .text(b" st");
-            Field::new(&mut rec[52..68]).name(&mut rng, 3);
-            Field::new(&mut rec[68..76]).number(rng.random_range(10000..99999), 5);
-            let area = rng.random_range(200..999);
-            Field::new(&mut rec[76..88])
-                .number(area, 3)
-                .text(b"-")
-                .number(rng.random_range(0..9999), 4);
-            // Remaining bytes stay as deterministic filler.
-            for (i, b) in rec.iter_mut().enumerate().skip(88) {
-                *b = (r as u8).wrapping_mul(31).wrapping_add(i as u8);
-            }
-        }
-        let pick = rng.random_range(0..records);
+        writer.write(&mut bytes);
+        let pick = writer.query_record();
         let mut book = AddressBook { bytes, records, query: String::new() };
         let field = book.last_name_field(pick);
         let len = field.iter().position(|&b| b == 0).unwrap_or(LAST_NAME_LEN);
@@ -110,15 +84,113 @@ impl AddressBook {
         let b = name.as_bytes();
         let n = b.len().min(LAST_NAME_LEN);
         field[..n].copy_from_slice(&b[..n]);
-        self.bytes
-            .chunks_exact(RECORD_BYTES)
-            .filter(|rec| rec[LAST_NAME_OFFSET..LAST_NAME_OFFSET + LAST_NAME_LEN] == field)
-            .count()
+        count_matches(&self.bytes, &field)
+    }
+}
+
+/// Records in `bytes` (whole records) whose last-name field equals `field`.
+pub fn count_matches(bytes: &[u8], field: &[u8; LAST_NAME_LEN]) -> usize {
+    bytes
+        .chunks_exact(RECORD_BYTES)
+        .filter(|rec| rec[LAST_NAME_OFFSET..LAST_NAME_OFFSET + LAST_NAME_LEN] == *field)
+        .count()
+}
+
+/// Offset of the deterministic filler that ends every record.
+const FILLER_OFFSET: usize = 88;
+
+/// The generator behind [`AddressBook::generate`], writing records in
+/// order into memory the caller owns, in chunks of any whole number of
+/// records. A workload that stages the book into simulated memory writes
+/// it there directly instead of holding a second copy.
+///
+/// # Examples
+///
+/// ```
+/// use ap_workloads::database::{AddressBook, RecordWriter, RECORD_BYTES};
+///
+/// let mut writer = RecordWriter::new(42, 100);
+/// let mut bytes = vec![0u8; 100 * RECORD_BYTES];
+/// let (head, tail) = bytes.split_at_mut(30 * RECORD_BYTES);
+/// writer.write(head);
+/// writer.write(tail);
+/// let pick = writer.query_record();
+///
+/// let book = AddressBook::generate(42, 100);
+/// assert_eq!(book.bytes(), &bytes[..]);
+/// assert_eq!(&book.last_name_field(pick)[..book.query().len()], book.query().as_bytes());
+/// ```
+#[derive(Debug)]
+pub struct RecordWriter {
+    rng: StdRng,
+    written: usize,
+    records: usize,
+}
+
+impl RecordWriter {
+    /// A writer for the `records` records that [`AddressBook::generate`]
+    /// makes from `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `records` is zero: there is no record to draw the query
+    /// from.
+    pub fn new(seed: u64, records: usize) -> Self {
+        assert!(records > 0, "an address book needs at least one record to draw its query from");
+        RecordWriter { rng: StdRng::seed_from_u64(seed), written: 0, records }
+    }
+
+    /// Overwrites `out` with the next `out.len() / RECORD_BYTES` records.
+    /// Every field is written straight into its record's bytes and is wide
+    /// enough for its longest value; the rest of it is NUL.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is not a whole number of records or holds more
+    /// records than remain.
+    pub fn write(&mut self, out: &mut [u8]) {
+        assert!(out.len().is_multiple_of(RECORD_BYTES), "records are {RECORD_BYTES} bytes");
+        let count = out.len() / RECORD_BYTES;
+        assert!(self.written + count <= self.records, "more records than the book holds");
+        let rng = &mut self.rng;
+        for (r, rec) in (self.written..).zip(out.chunks_exact_mut(RECORD_BYTES)) {
+            rec[..FILLER_OFFSET].fill(0);
+            let extra = rng.random_range(0..2);
+            Field::new(&mut rec[LAST_NAME_OFFSET..LAST_NAME_OFFSET + LAST_NAME_LEN])
+                .name(rng, 2 + extra);
+            Field::new(&mut rec[16..28]).name(rng, 2);
+            // The house number is drawn before the street name.
+            let number = rng.random_range(1..9999);
+            Field::new(&mut rec[28..52]).number(number, 1).text(b" ").name(rng, 2).text(b" st");
+            Field::new(&mut rec[52..68]).name(rng, 3);
+            Field::new(&mut rec[68..76]).number(rng.random_range(10000..99999), 5);
+            let area = rng.random_range(200..999);
+            Field::new(&mut rec[76..FILLER_OFFSET])
+                .number(area, 3)
+                .text(b"-")
+                .number(rng.random_range(0..9999), 4);
+            for (i, b) in rec.iter_mut().enumerate().skip(FILLER_OFFSET) {
+                *b = (r as u8).wrapping_mul(31).wrapping_add(i as u8);
+            }
+        }
+        self.written += count;
+    }
+
+    /// Draws the index of the record whose last name is the book's query.
+    ///
+    /// # Panics
+    ///
+    /// Panics if records remain unwritten: the draw comes after the last
+    /// record's.
+    pub fn query_record(mut self) -> usize {
+        assert_eq!(self.written, self.records, "the query is drawn after every record");
+        self.rng.random_range(0..self.records)
     }
 }
 
 /// A cursor over one fixed-width record field. Bytes never written keep the
-/// zero fill they were allocated with, which is the field's NUL padding.
+/// zero fill [`RecordWriter::write`] gave them, which is the field's NUL
+/// padding.
 struct Field<'a> {
     buf: &'a mut [u8],
     len: usize,
@@ -198,6 +270,36 @@ mod tests {
     #[should_panic(expected = "at least one record")]
     fn empty_book_is_rejected() {
         AddressBook::generate(1, 0);
+    }
+
+    /// The writer fed one page body at a time (4000 records, then the
+    /// rest) over a dirty buffer writes the book's bytes and picks its
+    /// query.
+    #[test]
+    fn page_chunked_writer_matches_the_book() {
+        let book = AddressBook::generate(0xDB5EED, 4_001);
+        let mut bytes = vec![0xA5u8; 4_001 * RECORD_BYTES];
+        let mut writer = RecordWriter::new(0xDB5EED, 4_001);
+        for page in bytes.chunks_mut(4_000 * RECORD_BYTES) {
+            writer.write(page);
+        }
+        let pick = writer.query_record();
+        let mut whole = RecordWriter::new(0xDB5EED, 4_001);
+        whole.write(&mut vec![0u8; 4_001 * RECORD_BYTES]);
+        assert_eq!(pick, whole.query_record());
+        assert_eq!(bytes, book.bytes());
+        let field = book.last_name_field(pick);
+        assert_eq!(&field[..book.query().len()], book.query().as_bytes());
+        assert!(field[book.query().len()..].iter().all(|&b| b == 0));
+        assert_eq!(count_matches(&bytes, &field), book.expected_matches(book.query()));
+    }
+
+    #[test]
+    #[should_panic(expected = "after every record")]
+    fn query_waits_for_every_record() {
+        let mut writer = RecordWriter::new(1, 2);
+        writer.write(&mut [0u8; RECORD_BYTES]);
+        writer.query_record();
     }
 
     #[test]
