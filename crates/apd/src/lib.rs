@@ -16,10 +16,12 @@
 //! * [`proto`] — the line protocol: [`proto::Request`]/[`proto::Response`]
 //!   frames, [`proto::WireSpec`] (a simulation point as reference-config
 //!   knobs), and 64 KB-capped framing;
-//! * [`server`] — the daemon itself: fair scheduling with per-client
-//!   backpressure, cache short-circuiting, an fsynced JSONL manifest, a
-//!   process-wide [`ap_trace::Registry`] scraped over HTTP (`/healthz`,
-//!   `/metrics`, `/jobs` on the same socket), and graceful drain-on-shutdown;
+//! * [`server`] — the daemon itself: every request goes to the pool, which
+//!   schedules fairly with per-client backpressure, probes and fills the
+//!   cache, simulates a point that several clients want at once only once,
+//!   and writes an fsynced JSONL manifest; a process-wide
+//!   [`ap_trace::Registry`] is scraped over HTTP (`/healthz`, `/metrics`,
+//!   `/jobs` on the same socket), and shutdown drains gracefully;
 //! * [`client`] — the blocking client library behind the `apctl` binary.
 //!
 //! See `DESIGN.md` §12 for the protocol grammar and scheduling policy, and

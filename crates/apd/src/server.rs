@@ -9,19 +9,23 @@
 //! * everything else is the newline-delimited JSON **line protocol** of
 //!   [`crate::proto`], one long-lived connection per client.
 //!
-//! Every accepted job flows through one process-wide stack shared by all
-//! clients: the service pool (fair round-robin across clients, bounded
-//! per-client queues), the content-addressed disk cache (salted with
+//! Every request, hit or miss, is submitted to one process-wide service
+//! pool shared by all clients (fair round-robin across clients, bounded
+//! per-client queues). The pool runs each job's whole sequence: the probe
+//! of the content-addressed disk cache (salted with
 //! [`ap_bench::runner::harness_salt`], so entries are interchangeable with
-//! local `experiments` runs — a cache hit short-circuits scheduling
-//! entirely), the fsynced JSONL manifest, and the [`ap_trace::Registry`]
-//! that `/metrics` scrapes.
+//! local `experiments` runs), the simulation, the store, and the fsynced
+//! JSONL manifest line; a point already running for another client is
+//! simulated once for both. This module adds the protocol, the `/jobs`
+//! table and the [`ap_trace::Registry`] that `/metrics` scrapes.
 
 use crate::proto::{FrameError, Outcome, Request, Response, WireSpec, MAX_FRAME};
 use ap_apps::RunReport;
 use ap_bench::runner::{harness_salt, report_codec, RunSpec};
 use ap_engine::manifest;
-use ap_engine::{Codec, DiskCache, Job, JobError, Service, ServiceConfig, SubmitError};
+use ap_engine::{
+    Completion, DiskCache, Job, JobError, JobId, Service, ServiceConfig, Sessions, SubmitError,
+};
 use ap_trace::Registry;
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufRead, BufReader, Write};
@@ -38,6 +42,11 @@ const BUSY_RETRY_MS: u64 = 200;
 const DRAINING_RETRY_MS: u64 = 1000;
 /// Terminal job records kept for `/jobs` before the oldest are pruned.
 const DONE_HISTORY: usize = 256;
+/// How long one frame write may block on a peer that stopped reading.
+/// `done` frames are written on pool workers, so a stalled peer is cut off
+/// rather than allowed to hold a worker (and, through its frame lock,
+/// every worker that finishes one of its jobs).
+const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Daemon configuration.
 #[derive(Debug, Clone)]
@@ -77,22 +86,15 @@ struct JobRecord {
     key: String,
     /// `"active"` until the job's terminal outcome tag replaces it.
     state: &'static str,
-    /// The service-pool id, for cancellation (cache hits never have one).
-    service_id: Option<ap_engine::JobId>,
 }
 
-/// Shared daemon state: everything a connection thread or a worker-side
+/// Shared daemon state: everything a connection thread or a service-side
 /// completion callback touches.
 struct Daemon {
     service: Service<RunReport>,
-    cache: Option<DiskCache>,
-    salt: String,
-    codec: Codec<RunReport>,
     registry: Registry,
-    manifest: Option<Mutex<manifest::Writer>>,
     jobs: Mutex<JobTable>,
     next_client: AtomicU64,
-    next_job: AtomicU64,
     stopping: AtomicBool,
     addr: SocketAddr,
 }
@@ -126,27 +128,28 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let manifest = match &cfg.manifest {
-            Some(path) => Some(Mutex::new(manifest::Writer::append(path)?)),
+            Some(path) => Some(manifest::Writer::append(path)?),
             None => None,
         };
-        let service = Service::start(ServiceConfig {
-            workers: cfg.workers.unwrap_or_else(|| {
-                std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-            }),
-            queue_capacity: cfg.queue_capacity,
-            default_deadline: cfg.default_deadline,
-            collect_sessions: true,
-        });
+        let service = Service::start(
+            ServiceConfig {
+                workers: cfg.workers.unwrap_or_else(|| {
+                    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+                }),
+                queue_capacity: cfg.queue_capacity,
+                default_deadline: cfg.default_deadline,
+                sessions: Some(Sessions { filter: ap_trace::Filter::NONE, export: None }),
+                cache: cfg.cache_dir.map(DiskCache::new),
+                salt: harness_salt(),
+                manifest,
+            },
+            Some(report_codec()),
+        );
         let daemon = Arc::new(Daemon {
             service,
-            cache: cfg.cache_dir.map(DiskCache::new),
-            salt: harness_salt(),
-            codec: report_codec(),
             registry: Registry::new(),
-            manifest,
             jobs: Mutex::new(JobTable::default()),
             next_client: AtomicU64::new(1),
-            next_job: AtomicU64::new(1),
             stopping: AtomicBool::new(false),
             addr,
         });
@@ -218,6 +221,7 @@ fn serve_connection(stream: TcpStream, daemon: &Arc<Daemon>) {
     // Replies are small frames; without this, a frame written while the
     // previous one is unacknowledged waits out the peer's delayed ACK.
     let _ = stream.set_nodelay(true);
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
     let Ok(write_half) = stream.try_clone() else { return };
     let mut reader = BufReader::new(stream);
     // Read exactly 4 bytes to recognize an HTTP GET, then chain them back
@@ -240,7 +244,7 @@ fn serve_connection(stream: TcpStream, daemon: &Arc<Daemon>) {
 
 /// Serializes response frames onto one connection. The lock also orders
 /// frames: a submit holds it across `Service::submit` and the `accepted`
-/// write, so a fast job's `done` (written by the worker callback) can never
+/// write, so a fast job's `done` (written by the completion callback) can never
 /// overtake its own `accepted`.
 #[derive(Clone)]
 struct FrameWriter {
@@ -257,20 +261,19 @@ impl FrameWriter {
     }
 
     fn send(&self, response: &Response) {
-        write_frames(&mut self.lock(), std::slice::from_ref(response));
+        write_frame(&mut self.lock(), response);
     }
 }
 
-/// Writes frames to an already-locked connection in one write. A dead
-/// peer is normal (client crashed mid-sweep); the frames are silently
-/// dropped.
-fn write_frames(stream: &mut TcpStream, responses: &[Response]) {
-    let mut lines = String::new();
-    for response in responses {
-        lines.push_str(&response.encode());
-        lines.push('\n');
+/// Writes one frame to an already-locked connection. A dead peer is
+/// normal (client crashed mid-sweep); the frame is silently dropped. A
+/// failed write (a dead peer, or one that stopped reading for
+/// [`WRITE_TIMEOUT`]) closes the connection: later writes fail at once,
+/// and the reader sees the end of the stream and retires the client.
+fn write_frame(stream: &mut TcpStream, response: &Response) {
+    if stream.write_all(format!("{}\n", response.encode()).as_bytes()).is_err() {
+        let _ = stream.shutdown(std::net::Shutdown::Both);
     }
-    let _ = stream.write_all(lines.as_bytes());
 }
 
 /// Discards input up to the next newline (or EOF, or `cap` bytes).
@@ -339,12 +342,7 @@ fn serve_client(reader: &mut impl BufRead, stream: TcpStream, daemon: &Arc<Daemo
                 handle_submit(daemon, &writer, client, &spec, deadline_ms);
             }
             Request::Cancel { job } => {
-                let service_id = {
-                    let table =
-                        daemon.jobs.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-                    table.records.get(&job).and_then(|r| r.service_id)
-                };
-                let ok = service_id.is_some_and(|id| daemon.service.cancel(id));
+                let ok = daemon.service.cancel(JobId(job));
                 writer.send(&Response::Cancelled { job, ok });
             }
             Request::Shutdown => {
@@ -374,106 +372,60 @@ fn handle_submit(
     let run_spec =
         RunSpec::new(spec.app, spec.kind, spec.pages, spec.config()).with_mode(spec.mode);
     let key = run_spec.key();
-    let job_id = daemon.next_job.fetch_add(1, Ordering::Relaxed);
-
-    // The shared cache short-circuits scheduling: a hit never touches the
-    // service pool, so duplicate points (a second client re-running a
-    // sweep) cost one disk read each.
-    if let Some(cache) = &daemon.cache {
-        if let Some(report) = cache.load(&key, &daemon.salt, &daemon.codec) {
-            daemon.registry.add("apd.jobs_accepted", 1);
-            daemon.registry.add("apd.cache_hits", 1);
-            daemon.registry.add("apd.jobs_completed", 1);
-            record_job(daemon, job_id, client, &key, "ok");
-            record_manifest(daemon, &key, "ok", None, true, 0.0, Some(&report));
-            let done = Response::Done {
-                job: job_id,
-                key: key.clone(),
-                outcome: Outcome::Ok,
-                cache_hit: true,
-                wall_ms: 0,
-                report: Some((daemon.codec.encode)(&report)),
-            };
-            write_frames(&mut writer.lock(), &[Response::Accepted { job: job_id, key }, done]);
-            return;
-        }
-    }
-
+    let job = Job::new(key.clone(), move || run_spec.execute());
     let deadline = deadline_ms.map(|ms| Some(Duration::from_millis(ms)));
-    let job = {
-        let run_spec = run_spec.clone();
-        Job::new(key.clone(), move || run_spec.execute())
-    };
     let on_done = {
         let daemon = daemon.clone();
         let writer = writer.clone();
-        move |completion: ap_engine::Completion<RunReport>| {
-            complete_job(&daemon, &writer, job_id, &completion);
-        }
+        move |completion: Completion<RunReport>| complete_job(&daemon, &writer, completion)
     };
-    // Pre-register the record, then hold the frame lock across submit AND
-    // the `accepted` write, so a fast job's `done` (emitted by the worker
-    // callback, which needs the same lock) can never overtake it.
-    record_job(daemon, job_id, client, &key, "active");
-    let submitted = {
-        let mut guard = writer.lock();
-        let result = daemon.service.submit(client, job, deadline, on_done);
-        if result.is_ok() {
-            write_frames(&mut guard, &[Response::Accepted { job: job_id, key }]);
-        }
-        result
-    };
-    match submitted {
-        Ok(service_id) => {
+    // Hold the frame lock across submit, the `/jobs` record and the
+    // `accepted` write: the job's `done` (written by the completion callback,
+    // which needs the same lock) can then overtake neither the frame nor
+    // the "active" record.
+    let mut frames = writer.lock();
+    match daemon.service.submit(client, job, deadline, on_done) {
+        Ok(id) => {
             daemon.registry.add("apd.jobs_accepted", 1);
-            let mut table = daemon.jobs.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some(record) = table.records.get_mut(&job_id) {
-                if record.state == "active" {
-                    record.service_id = Some(service_id);
-                }
-            }
+            record_job(daemon, id.0, client, &key, "active");
+            write_frame(&mut frames, &Response::Accepted { job: id.0, key });
         }
         Err(err) => {
             daemon.registry.add("apd.jobs_rejected", 1);
-            forget_job(daemon, job_id);
             let (reason, retry_after_ms) = match err {
                 SubmitError::Busy { .. } => ("busy", BUSY_RETRY_MS),
                 SubmitError::Draining => ("draining", DRAINING_RETRY_MS),
             };
-            writer.send(&Response::Rejected { reason: reason.to_string(), retry_after_ms });
+            let reason = reason.to_string();
+            write_frame(&mut frames, &Response::Rejected { reason, retry_after_ms });
         }
     }
 }
 
-/// Worker-side completion: persist, account, notify. Runs on a service
-/// worker thread (or the canceller's thread), exactly once per accepted job.
-fn complete_job(
-    daemon: &Arc<Daemon>,
-    writer: &FrameWriter,
-    job_id: u64,
-    completion: &ap_engine::Completion<RunReport>,
-) {
-    let wall_ms = completion.wall.as_secs_f64() * 1e3;
-    let (outcome, report) = match &completion.result {
-        Ok(report) => {
-            if let Some(cache) = &daemon.cache {
-                cache.store(&completion.key, &daemon.salt, report, &daemon.codec);
-            }
+/// Completion: account, record, notify. Runs on a service thread (or the
+/// canceller's), exactly once per accepted job, after the service has
+/// stored its value and written its manifest line.
+fn complete_job(daemon: &Daemon, writer: &FrameWriter, completion: Completion<RunReport>) {
+    let outcome = &completion.outcome;
+    let wall_ms = outcome.wall.as_secs_f64() * 1e3;
+    let result = match &outcome.result {
+        Ok(_) => {
             daemon.registry.add("apd.jobs_completed", 1);
-            daemon.registry.add("apd.cache_misses", 1);
-            (Outcome::Ok, Some(report))
+            let served = if outcome.cache_hit { "apd.cache_hits" } else { "apd.cache_misses" };
+            daemon.registry.add(served, 1);
+            Outcome::Ok
         }
         Err(JobError::Panicked(msg)) => {
             daemon.registry.add("apd.jobs_failed", 1);
-            (Outcome::Panicked(msg.clone()), None)
+            Outcome::Panicked(msg.clone())
         }
         Err(JobError::TimedOut(d)) => {
             daemon.registry.add("apd.jobs_failed", 1);
-            (Outcome::TimedOut(d.as_millis() as u64), None)
+            Outcome::TimedOut(d.as_millis() as u64)
         }
         Err(JobError::Cancelled) => {
             daemon.registry.add("apd.jobs_cancelled", 1);
-            (Outcome::Cancelled, None)
+            Outcome::Cancelled
         }
     };
     daemon.registry.observe("apd.job_wall_ms", wall_ms as u64);
@@ -481,49 +433,20 @@ fn complete_job(
     if let Some(trace) = &completion.trace {
         daemon.registry.absorb(trace);
     }
-    let error = match &outcome {
-        Outcome::Panicked(msg) => Some(format!("panicked: {msg}")),
-        Outcome::TimedOut(ms) => Some(format!("timed out after {:.1}s", *ms as f64 / 1e3)),
-        Outcome::Cancelled => Some("cancelled before execution".to_string()),
-        Outcome::Ok => None,
-    };
-    record_job(daemon, job_id, completion.client, &completion.key, outcome.tag());
-    record_manifest(daemon, &completion.key, outcome.tag(), error, false, wall_ms, report);
-    writer.send(&Response::Done {
-        job: job_id,
-        key: completion.key.clone(),
-        outcome,
-        cache_hit: false,
+    let state = result.tag();
+    let done = Response::Done {
+        job: completion.id.0,
+        key: outcome.key.clone(),
+        cache_hit: outcome.cache_hit,
         wall_ms: wall_ms as u64,
-        report: report.map(daemon.codec.encode),
-    });
-}
-
-fn record_manifest(
-    daemon: &Daemon,
-    key: &str,
-    outcome: &'static str,
-    error: Option<String>,
-    cache_hit: bool,
-    wall_ms: f64,
-    report: Option<&RunReport>,
-) {
-    let Some(writer) = &daemon.manifest else { return };
-    let diag = match (daemon.codec.diag, report) {
-        (Some(diag), Some(report)) => Some(diag(report)),
-        _ => None,
+        report: outcome.result.as_ref().ok().map(report_codec().encode),
+        outcome: result,
     };
-    let entry = manifest::Entry {
-        key: key.to_string(),
-        outcome,
-        error,
-        cache_hit,
-        wall_ms,
-        worker: 0,
-        diag,
-        trace: None,
-    };
-    writer.lock().unwrap_or_else(std::sync::PoisonError::into_inner).record(&entry);
+    // The terminal record goes in under the frame lock, after the
+    // submitter's "active" record.
+    let mut frames = writer.lock();
+    record_job(daemon, completion.id.0, completion.client, &outcome.key, state);
+    write_frame(&mut frames, &done);
 }
 
 /// Inserts or updates the `/jobs` record for `job_id`. Terminal states
@@ -535,11 +458,9 @@ fn record_job(daemon: &Daemon, job_id: u64, client: u64, key: &str, state: &'sta
         client,
         key: key.to_string(),
         state,
-        service_id: None,
     });
     record.state = state;
     if state != "active" {
-        record.service_id = None;
         table.done.push_back(job_id);
         while table.done.len() > DONE_HISTORY {
             if let Some(old) = table.done.pop_front() {
@@ -547,11 +468,6 @@ fn record_job(daemon: &Daemon, job_id: u64, client: u64, key: &str, state: &'sta
             }
         }
     }
-}
-
-fn forget_job(daemon: &Daemon, job_id: u64) {
-    let mut table = daemon.jobs.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-    table.records.remove(&job_id);
 }
 
 // -------------------------------------------------------------------- http

@@ -308,3 +308,43 @@ fn long_lived_client_hits_do_not_wait_for_delayed_acks() {
     let median = hits_ms[hits_ms.len() / 2];
     assert!(median < 10.0, "median hit latency {median:.2} ms; all: {hits_ms:?}");
 }
+
+/// Two clients submitting one uncached point at once share one
+/// simulation: both get byte-identical reports, and `/metrics` counts a
+/// single miss (the second request attaches to the running job, or, if it
+/// is picked after the store, hits the cache).
+#[test]
+fn concurrent_duplicate_submits_simulate_once() {
+    let dir = temp_dir("single-flight");
+    let mut server = Server::start(DaemonConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: Some(2),
+        cache_dir: Some(dir.join("cache")),
+        ..DaemonConfig::default()
+    })
+    .unwrap();
+    let addr = server.addr();
+    let spec = WireSpec::point(App::Database, SystemKind::Radram, 1.0);
+    let barrier = std::sync::Barrier::new(2);
+    let texts: Vec<String> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..2)
+            .map(|_| {
+                s.spawn(|| {
+                    let mut client = Client::connect(addr).unwrap();
+                    barrier.wait();
+                    client.submit(&spec, None, 0).unwrap();
+                    let done = client.collect().unwrap();
+                    assert_eq!(done.outcome, Outcome::Ok);
+                    done.report_text.unwrap()
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert_eq!(texts[0], texts[1], "both clients get the same bytes");
+    let metrics = http_get(addr, "/metrics").unwrap();
+    assert_eq!(metric(&metrics, "apd_cache_misses"), Some(1), "{metrics}");
+    assert_eq!(metric(&metrics, "apd_cache_hits"), Some(1), "{metrics}");
+    server.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}

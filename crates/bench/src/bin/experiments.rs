@@ -55,6 +55,17 @@ fn main() {
     if cli.wants("table3") {
         render::print_table3(&experiments::table3());
         println!();
+        println!("Extension circuits (Section 10; not part of the paper's Table 3):");
+        for r in ap_synth::report::extensions() {
+            println!(
+                "{:<16} {:>4} LEs  {:>5.1} ns  {:>5.1} KB config",
+                r.name,
+                r.les,
+                r.speed_ns,
+                r.code_bytes as f64 / 1024.0
+            );
+        }
+        println!();
     }
     if cli.wants("fig1") {
         render::print_fig1(&experiments::fig1());
@@ -164,6 +175,14 @@ fn main() {
         let rows = experiments::table4(&runner, quick);
         render::print_table4(&rows);
         report_written(write_result_file("table4.csv", &render::table4_csv(&rows)));
+        println!();
+        let c = experiments::amdahl_check(8.0);
+        println!("Amdahl whole-application check (median, 8 pages):");
+        println!(
+            "  partitioned fraction {:.3}, kernel speedup {:.2}x -> predicted overall {:.2}x, \
+             measured {:.2}x",
+            c.fraction_partitioned, c.kernel_speedup, c.predicted_overall, c.measured_overall
+        );
         println!();
     }
     if cli.wants("database-xl") {

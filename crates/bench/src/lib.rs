@@ -2,9 +2,9 @@
 //!
 //! One function per table and figure of the paper's evaluation, each
 //! returning structured data and rendered through [`render`] as the aligned
-//! rows/series the paper reports. The `benches/` targets (run by
-//! `cargo bench`) print one experiment each; the `experiments` binary runs
-//! them all and writes CSV files under `results/`.
+//! rows/series the paper reports. The `experiments` binary runs one of
+//! them (`experiments <target>`) or all of them (`experiments all`) and
+//! writes CSV files under `results/`.
 //!
 //! Simulation points are executed through [`runner::Runner`], which batches
 //! them onto the `ap-engine` worker pool: sweeps run in parallel, a

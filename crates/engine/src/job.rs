@@ -60,11 +60,15 @@ pub struct JobOutcome<T> {
     pub key: String,
     /// The computed (or cache-loaded) value, or why there is none.
     pub result: Result<T, JobError>,
-    /// Wall-clock time this job occupied a worker (near zero on cache hits).
+    /// Wall-clock time from the job's pick by a worker to its value being
+    /// ready: after the cache probe on a hit, after compute and store on a
+    /// miss (near zero on cache hits).
     pub wall: Duration,
-    /// Whether the value was served from the disk cache.
+    /// Whether the value was served from the disk cache, or shared from a
+    /// running job of the same key.
     pub cache_hit: bool,
-    /// Index of the worker that processed the job.
+    /// Index of the worker that processed the job (for a job attached to
+    /// a running one of the same key, the worker that ran that job).
     pub worker: usize,
     /// Path of the exported Chrome trace for this job, when the engine ran
     /// with tracing enabled and the job executed fresh (cache hits simulate

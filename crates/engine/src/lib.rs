@@ -6,18 +6,20 @@
 //! fresh simulated `System`. This crate is the substrate that executes such
 //! grids fast and safely:
 //!
-//! * **Parallel** — jobs run on a scoped worker pool ([`std::thread::scope`]
-//!   plus channels; worker count set by the caller, default the machine's
-//!   available parallelism). Results come back in deterministic *submission*
-//!   order regardless of completion order, so output files are byte-identical
-//!   at any worker count.
+//! * **Parallel** — jobs run on the crate's one worker pool, [`Service`];
+//!   [`Engine::run`] submits a batch as one client (worker count set by
+//!   the caller, default the machine's available parallelism). Results
+//!   come back in deterministic *submission* order regardless of
+//!   completion order, so output files are byte-identical at any worker
+//!   count.
 //! * **Fault-isolated** — each job runs under [`std::panic::catch_unwind`]
 //!   with a wall-clock watchdog; a panicking or runaway job degrades to a
 //!   [`JobError`] entry while sibling jobs complete.
 //! * **Cached** — completed results persist to a content-addressed disk
 //!   cache ([`DiskCache`]) keyed by job key + caller salt (configuration
 //!   fingerprint, crate version), so re-running an evaluation only simulates
-//!   points whose inputs changed.
+//!   points whose inputs changed. A key already running is not run twice:
+//!   later jobs with that key attach to it.
 //! * **Observable** — every job appends a JSONL manifest line (outcome,
 //!   cache hit/miss, wall time, worker) and a live progress line tracks
 //!   completed/total and jobs/sec.
@@ -47,46 +49,27 @@ mod cache;
 mod job;
 pub mod manifest;
 pub mod service;
-pub mod supervise;
+mod supervise;
 
 pub use cache::{fnv1a, DiskCache};
 pub use job::{Codec, Job, JobError, JobOutcome};
-pub use service::{Completion, JobId, Service, ServiceConfig, SubmitError};
-pub use supervise::{supervise, Supervised};
+pub use service::{Completion, JobId, Service, ServiceConfig, Sessions, SubmitError};
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Sender};
-use std::sync::Mutex;
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// The default per-job wall-clock deadline.
 pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(600);
 
-/// Where the engine writes per-job Chrome traces, and which subsystems to
-/// record. Each fresh job execution gets its own session (the job thread is
-/// dedicated, so collection is lock-free) exported as one
-/// `<fnv1a(key)>.trace.json` file under `dir`. Cache hits simulate nothing
-/// and produce no trace.
-#[derive(Debug, Clone)]
-pub struct TraceSink {
-    /// Directory receiving one `.trace.json` per freshly executed job.
-    pub dir: PathBuf,
-    /// Subsystems to record while jobs run.
-    pub filter: ap_trace::Filter,
-}
-
-/// The job-execution engine. Configure with the builder methods, then call
-/// [`Engine::run`] with a batch of jobs.
+/// The batch front end of [`Service`]. Configure with the builder methods,
+/// then call [`Engine::run`] with a batch of jobs.
 #[derive(Debug, Clone)]
 pub struct Engine {
-    workers: usize,
-    cache: Option<DiskCache>,
-    manifest: Option<PathBuf>,
-    deadline: Option<Duration>,
+    /// The pool each run starts, fitted to the batch: `min(workers, jobs)`
+    /// workers and room to queue every job.
+    service: ServiceConfig,
     progress: bool,
-    salt: String,
-    trace: Option<TraceSink>,
 }
 
 impl Default for Engine {
@@ -99,44 +82,46 @@ impl Engine {
     /// An engine with default settings: one worker per available core, no
     /// cache, no manifest, the [`DEFAULT_DEADLINE`] watchdog, no progress.
     pub fn new() -> Self {
-        Engine {
-            workers: available_workers(),
-            cache: None,
-            manifest: None,
-            deadline: Some(DEFAULT_DEADLINE),
-            progress: false,
-            salt: String::new(),
-            trace: None,
-        }
+        Engine { service: ServiceConfig::default(), progress: false }
     }
 
     /// Sets the worker count (clamped to at least 1).
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+        self.service.workers = workers.max(1);
         self
     }
 
     /// Enables the disk cache rooted at `dir`.
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.cache = Some(DiskCache::new(dir));
+        self.service.cache = Some(DiskCache::new(dir));
         self
     }
 
     /// Disables the disk cache.
     pub fn without_cache(mut self) -> Self {
-        self.cache = None;
+        self.service.cache = None;
         self
     }
 
-    /// Appends manifest lines to the JSONL file at `path`.
+    /// Appends manifest lines to the JSONL file at `path`, opened here. A
+    /// file that cannot be opened is a counted warning, and runs then write
+    /// no manifest.
     pub fn with_manifest(mut self, path: impl Into<PathBuf>) -> Self {
-        self.manifest = Some(path.into());
+        let path = path.into();
+        self.service.manifest = match manifest::Writer::append(&path) {
+            Ok(writer) => Some(writer),
+            Err(e) => {
+                let message = format!("cannot open manifest {}: {e}", path.display());
+                ap_trace::warn("manifest.open_failed", message);
+                None
+            }
+        };
         self
     }
 
     /// Sets (`Some`) or disables (`None`) the per-job wall-clock deadline.
     pub fn with_deadline(mut self, deadline: Option<Duration>) -> Self {
-        self.deadline = deadline;
+        self.service.default_deadline = deadline;
         self
     }
 
@@ -150,7 +135,7 @@ impl Engine {
     /// invalidates results wholesale here: crate version, configuration
     /// fingerprint scheme, quick-mode flags.
     pub fn with_salt(mut self, salt: impl Into<String>) -> Self {
-        self.salt = salt.into();
+        self.service.salt = salt.into();
         self
     }
 
@@ -160,24 +145,25 @@ impl Engine {
     /// stay untraced. Tracing never changes simulated cycle counts or cache
     /// keys — it only observes.
     pub fn with_trace_dir(mut self, dir: impl Into<PathBuf>, filter: ap_trace::Filter) -> Self {
-        self.trace = Some(TraceSink { dir: dir.into(), filter });
+        self.service.sessions = Some(Sessions { filter, export: Some(dir.into()) });
         self
     }
 
     /// The configured worker count.
     pub fn workers(&self) -> usize {
-        self.workers
+        self.service.workers
     }
 
-    /// Executes `jobs` on the worker pool and returns one outcome per job,
-    /// **in submission order** regardless of completion order.
+    /// Executes `jobs` and returns one outcome per job, **in submission
+    /// order** regardless of completion order.
     ///
-    /// With a `codec` and an enabled cache, each job first probes the disk
-    /// cache and each fresh result is persisted; without either, every job
-    /// computes. The codec's [`Codec::diag`] hook runs only for manifest
-    /// lines, once per successful job, on the collecting thread. Panics and
-    /// deadline overruns surface as [`JobError`]s in the affected outcome
-    /// only.
+    /// The batch runs as one client of a [`Service`] started for it, with
+    /// `min(workers, jobs)` workers (each job's page-execution pool gets
+    /// cores / workers threads) and room to queue the whole batch. The
+    /// service runs each job's sequence: with a `codec`, the cache probe
+    /// and store, single-flight on duplicate keys, and the manifest line
+    /// with the codec's [`Codec::diag`] counts. Panics and deadline
+    /// overruns surface as [`JobError`]s in the affected outcome only.
     pub fn run<T: Send + 'static>(
         &self,
         jobs: Vec<Job<T>>,
@@ -187,189 +173,38 @@ impl Engine {
         if total == 0 {
             return Vec::new();
         }
-        let slots: Vec<JobSlot<T>> = jobs
-            .into_iter()
-            .map(|j| JobSlot { key: j.key, run: Mutex::new(Some(j.run)) })
-            .collect();
-        let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, JobOutcome<T>)>();
-        if let Some(sink) = &self.trace {
-            if let Err(e) = std::fs::create_dir_all(&sink.dir) {
-                ap_trace::warn(
-                    "trace.dir_failed",
-                    format!("cannot create trace dir {}: {e}", sink.dir.display()),
-                );
+        let cfg = ServiceConfig {
+            workers: self.service.workers.min(total),
+            queue_capacity: total,
+            ..self.service.clone()
+        };
+        let started = Instant::now();
+        let service = Service::start(cfg, codec);
+        let (tx, rx) = mpsc::channel();
+        for (index, job) in jobs.into_iter().enumerate() {
+            let tx = tx.clone();
+            let on_done = move |done: Completion<T>| {
+                let _ = tx.send((index, done.outcome));
+            };
+            service.submit(0, job, None, on_done).expect("a fresh service queues the whole batch");
+        }
+        drop(tx);
+
+        let mut results: Vec<Option<JobOutcome<T>>> = (0..total).map(|_| None).collect();
+        for done in 1..=total {
+            let (index, outcome) = rx.recv().expect("every accepted job completes");
+            results[index] = Some(outcome);
+            if self.progress {
+                let rate = done as f64 / started.elapsed().as_secs_f64().max(1e-9);
+                eprint!("\r[{done}/{total}] {rate:.1} jobs/s ");
             }
         }
-        let mut manifest =
-            self.manifest.as_deref().and_then(|p| match manifest::Writer::append(p) {
-                Ok(w) => Some(w),
-                Err(e) => {
-                    ap_trace::warn(
-                        "manifest.open_failed",
-                        format!("cannot open manifest {}: {e}", p.display()),
-                    );
-                    None
-                }
-            });
-        let mut results: Vec<Option<JobOutcome<T>>> = (0..total).map(|_| None).collect();
-        let started = Instant::now();
-
-        // Share the cores between job workers and each job's in-simulator
-        // page-execution pool: `workers` jobs, each budgeted cores/workers
-        // threads, together fill the machine without oversubscribing it.
-        let spawned = self.workers.min(total).max(1);
-        active_pages::parallel::set_thread_budget((available_workers() / spawned).max(1));
-
-        std::thread::scope(|scope| {
-            for worker in 0..self.workers.min(total) {
-                let tx = tx.clone();
-                let slots = &slots;
-                let next = &next;
-                scope.spawn(move || self.worker_loop(worker, slots, next, tx, codec));
-            }
-            drop(tx);
-
-            let mut done = 0usize;
-            while done < total {
-                let Ok((index, outcome)) = rx.recv() else {
-                    break; // all workers gone; missing slots filled below
-                };
-                if let Some(w) = manifest.as_mut() {
-                    let diag = match (&outcome.result, &codec) {
-                        (Ok(value), Some(codec)) => codec.diag.map(|f| f(value)),
-                        _ => None,
-                    };
-                    w.record(&manifest::Entry::of(&outcome, diag));
-                }
-                results[index] = Some(outcome);
-                done += 1;
-                if self.progress {
-                    let rate = done as f64 / started.elapsed().as_secs_f64().max(1e-9);
-                    eprint!("\r[{done}/{total}] {rate:.1} jobs/s ");
-                }
-            }
-        });
         if self.progress {
             eprintln!();
         }
-
-        results
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.unwrap_or_else(|| JobOutcome {
-                    key: slots[i].key.clone(),
-                    result: Err(JobError::Panicked("worker thread died".into())),
-                    wall: Duration::ZERO,
-                    cache_hit: false,
-                    worker: 0,
-                    trace: None,
-                })
-            })
-            .collect()
+        service.shutdown();
+        results.into_iter().map(|slot| slot.expect("one outcome per job")).collect()
     }
-
-    fn worker_loop<T: Send + 'static>(
-        &self,
-        worker: usize,
-        slots: &[JobSlot<T>],
-        next: &AtomicUsize,
-        tx: Sender<(usize, JobOutcome<T>)>,
-        codec: Option<Codec<T>>,
-    ) {
-        loop {
-            let index = next.fetch_add(1, Ordering::Relaxed);
-            if index >= slots.len() {
-                return;
-            }
-            let key = slots[index].key.clone();
-            let started = Instant::now();
-
-            if let (Some(cache), Some(codec)) = (&self.cache, &codec) {
-                if let Some(value) = cache.load(&key, &self.salt, codec) {
-                    let outcome = JobOutcome {
-                        key,
-                        result: Ok(value),
-                        wall: started.elapsed(),
-                        cache_hit: true,
-                        worker,
-                        trace: None,
-                    };
-                    let _ = tx.send((index, outcome));
-                    continue;
-                }
-            }
-
-            let run = slots[index]
-                .run
-                .lock()
-                .expect("job slot lock poisoned")
-                .take()
-                .expect("job dispatched twice");
-            let (result, trace) = self.execute_isolated(&key, run);
-
-            if let (Ok(value), Some(cache), Some(codec)) = (&result, &self.cache, &codec) {
-                cache.store(&key, &self.salt, value, codec);
-            }
-            let outcome = JobOutcome {
-                key,
-                result,
-                wall: started.elapsed(),
-                cache_hit: false,
-                worker,
-                trace,
-            };
-            let _ = tx.send((index, outcome));
-        }
-    }
-
-    /// Runs one job through [`supervise`] (dedicated thread, panic capture,
-    /// wall-clock watchdog) and, when a [`TraceSink`] is configured, exports
-    /// the job's trace session as Chrome trace JSON (even when the job
-    /// panicked, so crashes keep their timeline). The returned path is
-    /// `None` on timeout (the abandoned thread's trace is discarded) or
-    /// export failure.
-    fn execute_isolated<T: Send + 'static>(
-        &self,
-        key: &str,
-        run: Box<dyn FnOnce() -> T + Send>,
-    ) -> (Result<T, JobError>, Option<PathBuf>) {
-        let session =
-            self.trace.as_ref().map(|sink| ap_trace::session::SessionConfig::filtered(sink.filter));
-        let supervised = supervise::supervise(self.deadline, session, run);
-        let path = match (&self.trace, &supervised.trace) {
-            (Some(sink), Some(trace)) => write_trace(&sink.dir, key, trace),
-            _ => None,
-        };
-        (supervised.result, path)
-    }
-}
-
-/// Exports `trace` as `<fnv1a(key)>.trace.json` under `dir`. Failures are
-/// counted warnings, not errors: a lost trace never fails the job.
-fn write_trace(
-    dir: &std::path::Path,
-    key: &str,
-    trace: &ap_trace::session::Trace,
-) -> Option<PathBuf> {
-    let path = dir.join(format!("{:016x}.trace.json", fnv1a(key.as_bytes())));
-    let json = ap_trace::chrome::export(trace, key);
-    match std::fs::write(&path, json) {
-        Ok(()) => Some(path),
-        Err(e) => {
-            ap_trace::warn(
-                "trace.write_failed",
-                format!("cannot write trace for {key} to {}: {e}", path.display()),
-            );
-            None
-        }
-    }
-}
-
-struct JobSlot<T> {
-    key: String,
-    run: Mutex<Option<Box<dyn FnOnce() -> T + Send>>>,
 }
 
 pub(crate) fn available_workers() -> usize {
@@ -417,5 +252,34 @@ mod tests {
             results.iter().map(|o| *o.result.as_ref().unwrap()).collect::<Vec<_>>(),
             vec![1, 2, 3, 4, 5]
         );
+    }
+
+    #[test]
+    fn duplicate_keys_in_a_batch_compute_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static RUNS: AtomicUsize = AtomicUsize::new(0);
+        let dir = std::env::temp_dir().join(format!("ap-engine-dup-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let manifest_path = dir.join("manifest.jsonl");
+        let engine = Engine::new()
+            .with_workers(2)
+            .with_cache_dir(dir.join("cache"))
+            .with_manifest(&manifest_path);
+        let codec =
+            Codec::<u64> { encode: |v| v.to_string(), decode: |s| s.parse().ok(), diag: None };
+        let jobs = (0..3)
+            .map(|_| {
+                Job::new("k", || {
+                    RUNS.fetch_add(1, Ordering::SeqCst);
+                    99u64
+                })
+            })
+            .collect();
+        let results = engine.run(jobs, Some(codec));
+        assert_eq!(RUNS.load(Ordering::SeqCst), 1, "a duplicate is attached or a disk hit");
+        assert!(results.iter().all(|o| o.result == Ok(99)));
+        let summary = manifest::summarize(&manifest_path).unwrap();
+        assert_eq!((summary.total, summary.cache_misses, summary.cache_hits), (3, 1, 2));
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -9,6 +9,7 @@ use crate::job::{JobError, JobOutcome};
 use ap_trace::json::quote;
 use std::io::Write as _;
 use std::path::Path;
+use std::sync::{Arc, Mutex};
 
 /// Per-job static-analysis totals, recorded in the manifest when the
 /// batch's [`crate::Codec::diag`] hook is set.
@@ -96,10 +97,11 @@ impl Entry {
 /// hit by SIGKILL, a crashed CI box) must leave a complete prefix of
 /// whole lines behind, not a page-cache-resident tail that never reached
 /// the disk. Jobs are seconds of simulation each, so one `fdatasync` per
-/// completion is noise.
-#[derive(Debug)]
+/// completion is noise. Clones share the file; concurrent records append
+/// whole lines, one at a time.
+#[derive(Debug, Clone)]
 pub struct Writer {
-    file: std::fs::File,
+    file: Arc<Mutex<std::fs::File>>,
 }
 
 impl Writer {
@@ -111,16 +113,17 @@ impl Writer {
             }
         }
         let file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Writer { file })
+        Ok(Writer { file: Arc::new(Mutex::new(file)) })
     }
 
     /// Appends one entry and forces it to stable storage.
-    pub fn record(&mut self, entry: &Entry) {
-        if let Err(e) = writeln!(self.file, "{}", entry.to_json()) {
+    pub fn record(&self, entry: &Entry) {
+        let mut file = self.file.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        if let Err(e) = writeln!(file, "{}", entry.to_json()) {
             ap_trace::warn("manifest.write_failed", format!("cannot write manifest line: {e}"));
             return;
         }
-        if let Err(e) = self.file.sync_data() {
+        if let Err(e) = file.sync_data() {
             ap_trace::warn("manifest.sync_failed", format!("cannot fsync manifest: {e}"));
         }
     }
@@ -197,7 +200,7 @@ mod tests {
         let dir = std::env::temp_dir();
         let path = dir.join(format!("ap-engine-manifest-test-{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
-        let mut w = Writer::append(&path).unwrap();
+        let w = Writer::append(&path).unwrap();
         w.record(&Entry {
             key: "a \"quoted\"\nkey".into(),
             outcome: "ok",

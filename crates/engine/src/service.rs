@@ -1,37 +1,71 @@
-//! A long-lived job service: the daemon-facing counterpart of the batch
-//! [`Engine`](crate::Engine).
+//! The job service: the one worker pool of the crate, and the one place
+//! that runs the per-job sequence.
 //!
-//! [`Engine::run`](crate::Engine::run) is a *batch* API — it spins a worker
-//! pool up, drains one vector of jobs, and tears everything down. A daemon
-//! serving many concurrent clients needs the opposite lifecycle: workers
-//! that outlive any one submission, jobs that arrive continuously from
-//! independent clients, and an explicit drain at shutdown. [`Service`] is
-//! that pool:
+//! Workers outlive any one submission, jobs arrive continuously from
+//! independent clients, and an explicit drain ends the pool. The batch
+//! [`Engine::run`](crate::Engine::run) is a client of it (one client, one
+//! batch), and so is the `apd` daemon (one client per connection).
 //!
-//! * **Fair.** Each client (a connection, in `apd`) owns its own FIFO
-//!   queue; workers pick the next job by round-robin *across clients*, so
-//!   a client that dumps a thousand-point sweep cannot starve a client
-//!   submitting single probes.
+//! The worker that picks a job runs its whole sequence:
+//!
+//! 1. **Probe** the disk cache (with a cache and a codec). A hit spawns no
+//!    job thread.
+//! 2. Otherwise **compute** the job under `supervise`: a dedicated thread,
+//!    panic capture and a wall-clock watchdog, so panics and deadline
+//!    overruns degrade to a [`JobError`] in that job's completion while the
+//!    pool keeps serving. With [`ServiceConfig::sessions`] set the job's
+//!    trace session comes back, and is also exported as Chrome trace JSON
+//!    when [`Sessions::export`] names a directory.
+//! 3. **Store** a fresh value in the cache.
+//! 4. Write the job's **manifest** line (with the codec's diag counts on
+//!    `ok` lines), and only then call the job's completion callback. One
+//!    worker at a time writes lines: a worker that finds another writing
+//!    queues its completion for that one and picks its next job instead of
+//!    waiting on the fsync.
+//!
+//! [`JobOutcome::wall`] runs from the pick to the value being ready (after
+//! the probe, or after compute and store); the fsynced manifest write is
+//! not part of it. A panic in any step outside `supervise` (a codec, the
+//! diag hook) fails only that job, with [`JobError::Panicked`], and a
+//! panicking callback is a counted warning: the worker survives both.
+//!
+//! The pool is also:
+//!
+//! * **Single-flight** (with a codec). A picked job whose key is already
+//!   running under the same deadline attaches to the running job as a
+//!   waiter, and the worker moves on (a job under another deadline runs
+//!   on its own, so every job keeps its own). After the running job's
+//!   store, each waiter gets `decode(encoded)` of its value (or a clone of
+//!   its [`JobError`]), its own manifest line (`"cache":"hit"` on success)
+//!   and its own callback. A waiter counts as running, and waiters are
+//!   delivered before the job stops running.
+//! * **Fair.** Each client owns its own FIFO queue; workers pick the next
+//!   job by round-robin *across clients*, so a client that dumps a
+//!   thousand-point sweep cannot starve a client submitting single probes.
 //! * **Bounded.** Per-client queues have a fixed capacity; a submit beyond
 //!   it is rejected with [`SubmitError::Busy`] instead of growing without
 //!   limit — the caller turns that into protocol-level backpressure.
-//! * **Isolated.** Every job runs under [`supervise`](crate::supervise()):
-//!   panics and per-job deadline overruns degrade to a [`JobError`] in
-//!   that job's completion while the pool keeps serving.
 //! * **Cancellable.** A queued job can be cancelled; its completion
-//!   callback fires with [`JobError::Cancelled`]. (A *running* job cannot
-//!   be killed mid-simulation — its deadline is the backstop.)
+//!   callback fires with [`JobError::Cancelled`]. (A *running* or attached
+//!   job cannot be killed mid-simulation — its deadline is the backstop.)
 //! * **Drainable.** [`drain`](Service::drain) stops intake and blocks
 //!   until every accepted job has completed; [`shutdown`](Service::shutdown)
 //!   additionally stops and joins the workers.
 //!
-//! Completions are delivered through a per-job `FnOnce` callback invoked on
-//! the worker thread, exactly once per accepted job (including cancelled
-//! ones). Callbacks should be cheap and must not block on the service.
+//! Completions are delivered through a per-job `FnOnce` callback invoked
+//! exactly once per accepted job (including cancelled ones): on a worker
+//! thread, or on the cancelling thread. Callbacks should be cheap and must
+//! not block on the service.
 
-use crate::job::{Job, JobError};
-use crate::supervise::supervise;
-use std::collections::{BTreeMap, VecDeque};
+use crate::cache::{fnv1a, DiskCache};
+use crate::job::{Codec, Job, JobError, JobOutcome};
+use crate::manifest;
+use crate::supervise::{panic_message, supervise};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap, VecDeque};
+use std::panic::AssertUnwindSafe;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering::SeqCst};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -45,7 +79,8 @@ impl std::fmt::Display for JobId {
     }
 }
 
-/// Configuration for a [`Service`].
+/// Configuration for a [`Service`]. The value codec, the one part that
+/// depends on the job type, is passed to [`Service::start`] alongside.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads (clamped to at least 1).
@@ -54,10 +89,28 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// Deadline applied to jobs submitted without their own.
     pub default_deadline: Option<Duration>,
-    /// Collect a trace session (counters/histograms) around every job and
-    /// return it in [`Completion::trace`] — the daemon folds these into its
-    /// process-wide [`ap_trace::Registry`].
-    pub collect_sessions: bool,
+    /// Record a trace session around every computed job and return it in
+    /// [`Completion::trace`] (`None`: no session).
+    pub sessions: Option<Sessions>,
+    /// Disk cache probed before and filled after every computation (used
+    /// only with a codec).
+    pub cache: Option<DiskCache>,
+    /// Folded into every cache key: everything that invalidates results
+    /// wholesale (crate version, configuration fingerprint scheme).
+    pub salt: String,
+    /// Manifest receiving one line per completed job.
+    pub manifest: Option<manifest::Writer>,
+}
+
+/// The per-job trace sessions a [`Service`] records.
+#[derive(Debug, Clone)]
+pub struct Sessions {
+    /// Subsystems recorded while a job computes.
+    pub filter: ap_trace::Filter,
+    /// Directory receiving each session as `<fnv1a(key)>.trace.json`
+    /// (`None`: not exported); the path lands in [`JobOutcome::trace`] and
+    /// the manifest line.
+    pub export: Option<PathBuf>,
 }
 
 impl Default for ServiceConfig {
@@ -66,7 +119,10 @@ impl Default for ServiceConfig {
             workers: crate::available_workers(),
             queue_capacity: 256,
             default_deadline: Some(crate::DEFAULT_DEADLINE),
-            collect_sessions: true,
+            sessions: None,
+            cache: None,
+            salt: String::new(),
+            manifest: None,
         }
     }
 }
@@ -105,22 +161,21 @@ pub struct Completion<T> {
     pub id: JobId,
     /// The submitting client.
     pub client: u64,
-    /// The job's key, as submitted.
-    pub key: String,
-    /// The computed value, or why there is none.
-    pub result: Result<T, JobError>,
     /// Time the job spent waiting in its queue.
     pub queued: Duration,
-    /// Time the job occupied a worker (zero for cancelled jobs).
-    pub wall: Duration,
-    /// Index of the worker that executed the job (0 for cancelled jobs).
-    pub worker: usize,
+    /// The job's result and execution record (a cancelled job has zero
+    /// wall time and worker 0).
+    pub outcome: JobOutcome<T>,
     /// The job's finished trace session, when
-    /// [`ServiceConfig::collect_sessions`] is set and the job ran.
+    /// [`ServiceConfig::sessions`] is set and the job was computed.
     pub trace: Option<ap_trace::session::Trace>,
 }
 
 type OnDone<T> = Box<dyn FnOnce(Completion<T>) + Send>;
+/// A completion with the callback it goes to.
+type Delivery<T> = (Completion<T>, OnDone<T>);
+/// What single-flight matches on: a key and the deadline it runs under.
+type Flight = (String, Option<Duration>);
 
 struct Pending<T> {
     id: JobId,
@@ -139,8 +194,12 @@ struct State<T> {
     /// Round-robin rotation: ids of clients believed to have queued work.
     /// Lazily validated on pick, so stale entries are harmless.
     rotation: VecDeque<u64>,
+    /// Keys being run (with a codec only) under their deadline, each with
+    /// the jobs attached to it and when they were picked.
+    inflight: HashMap<Flight, Vec<(Pending<T>, Instant)>>,
     next_id: u64,
     queued: usize,
+    /// Jobs picked and not yet delivered, attached waiters included.
     running: usize,
     draining: bool,
     stop: bool,
@@ -172,6 +231,12 @@ struct Shared<T> {
     /// Signaled when a job completes (drain waiters listen here).
     settled: Condvar,
     cfg: ServiceConfig,
+    codec: Option<Codec<T>>,
+    /// Picked jobs' completions waiting for their manifest line and
+    /// callback, in completion order.
+    outbox: Mutex<VecDeque<Delivery<T>>>,
+    /// Whether a worker holds the delivery turn (see `complete`).
+    delivering: AtomicBool,
 }
 
 impl<T> Shared<T> {
@@ -181,7 +246,8 @@ impl<T> Shared<T> {
 }
 
 /// A long-lived worker pool multiplexing jobs from many clients. See the
-/// module docs for the scheduling, backpressure and shutdown contract.
+/// module docs for the per-job sequence and the scheduling, backpressure
+/// and shutdown contract.
 pub struct Service<T> {
     shared: Arc<Shared<T>>,
     workers: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -201,17 +267,28 @@ impl<T> std::fmt::Debug for Service<T> {
 
 impl<T: Send + 'static> Service<T> {
     /// Starts the pool: `cfg.workers` threads, idle until jobs arrive.
+    /// `codec` enables the cache, the manifest's diag counts and
+    /// single-flight; without it every job computes.
     ///
-    /// Like [`Engine::run`](crate::Engine::run), the machine's cores are
-    /// split between job workers and each job's in-simulator page-execution
-    /// pool so concurrent simulations don't oversubscribe the host.
-    pub fn start(cfg: ServiceConfig) -> Service<T> {
+    /// The machine's cores are split between job workers and each job's
+    /// in-simulator page-execution pool, so concurrent simulations don't
+    /// oversubscribe the host.
+    pub fn start(cfg: ServiceConfig, codec: Option<Codec<T>>) -> Service<T> {
         let workers = cfg.workers.max(1);
         active_pages::parallel::set_thread_budget((crate::available_workers() / workers).max(1));
+        if let Some(dir) = cfg.sessions.as_ref().and_then(|s| s.export.as_ref()) {
+            if let Err(e) = std::fs::create_dir_all(dir) {
+                ap_trace::warn(
+                    "trace.dir_failed",
+                    format!("cannot create trace dir {}: {e}", dir.display()),
+                );
+            }
+        }
         let shared = Arc::new(Shared {
             state: Mutex::new(State {
                 queues: BTreeMap::new(),
                 rotation: VecDeque::new(),
+                inflight: HashMap::new(),
                 next_id: 0,
                 queued: 0,
                 running: 0,
@@ -221,13 +298,20 @@ impl<T: Send + 'static> Service<T> {
             work_ready: Condvar::new(),
             settled: Condvar::new(),
             cfg: ServiceConfig { workers, ..cfg },
+            codec,
+            outbox: Mutex::new(VecDeque::new()),
+            delivering: AtomicBool::new(false),
         });
         let handles = (0..workers)
             .map(|index| {
                 let shared = shared.clone();
                 std::thread::Builder::new()
                     .name(format!("ap-service-{index}"))
-                    .spawn(move || worker_loop(index, &shared))
+                    .spawn(move || {
+                        while let Some(job) = shared.next_job() {
+                            shared.execute(index, job);
+                        }
+                    })
                     .expect("spawn service worker")
             })
             .collect();
@@ -264,7 +348,7 @@ impl<T: Send + 'static> Service<T> {
             queue.push_back(Pending {
                 id,
                 client,
-                key: job.key.clone(),
+                key: job.key,
                 run: job.run,
                 deadline: deadline.unwrap_or(self.shared.cfg.default_deadline),
                 on_done: Box::new(on_done),
@@ -302,7 +386,7 @@ impl<T: Send + 'static> Service<T> {
         };
         match removed {
             Some(pending) => {
-                complete_cancelled(pending);
+                self.shared.cancelled(pending);
                 self.shared.settled.notify_all();
                 true
             }
@@ -322,7 +406,7 @@ impl<T: Send + 'static> Service<T> {
         };
         let n = dropped.len();
         for pending in dropped {
-            complete_cancelled(pending);
+            self.shared.cancelled(pending);
         }
         if n > 0 {
             self.shared.settled.notify_all();
@@ -330,7 +414,8 @@ impl<T: Send + 'static> Service<T> {
         n
     }
 
-    /// `(queued, running)` job counts, for status endpoints.
+    /// `(queued, running)` job counts, for status endpoints. Jobs attached
+    /// to a running job of the same key count as running.
     pub fn load(&self) -> (usize, usize) {
         let state = self.shared.lock();
         (state.queued, state.running)
@@ -375,59 +460,184 @@ impl<T: Send + 'static> Service<T> {
     }
 }
 
-/// Fires `pending`'s callback with a [`JobError::Cancelled`] completion.
-fn complete_cancelled<T>(pending: Pending<T>) {
-    let queued = pending.enqueued.elapsed();
-    (pending.on_done)(Completion {
-        id: pending.id,
-        client: pending.client,
-        key: pending.key,
-        result: Err(JobError::Cancelled),
-        queued,
-        wall: Duration::ZERO,
-        worker: 0,
-        trace: None,
-    });
+impl<T: Send + 'static> Shared<T> {
+    /// Blocks until a job needs this worker (`None` once the pool stops).
+    /// A picked job whose key is already running under the same deadline
+    /// attaches to it instead, and the worker picks again.
+    fn next_job(&self) -> Option<Pending<T>> {
+        let mut guard = self.lock();
+        loop {
+            let state = &mut *guard;
+            if state.stop {
+                return None;
+            }
+            let Some(job) = state.pick() else {
+                guard =
+                    self.work_ready.wait(guard).unwrap_or_else(std::sync::PoisonError::into_inner);
+                continue;
+            };
+            state.running += 1;
+            if self.codec.is_none() {
+                return Some(job);
+            }
+            match state.inflight.entry((job.key.clone(), job.deadline)) {
+                Entry::Occupied(mut waiters) => waiters.get_mut().push((job, Instant::now())),
+                Entry::Vacant(flight) => {
+                    flight.insert(Vec::new());
+                    return Some(job);
+                }
+            }
+        }
+    }
+
+    /// Runs `job`'s whole sequence on worker `worker` (probe, else compute
+    /// and store), then delivers every job attached to it and the job
+    /// itself.
+    fn execute(&self, worker: usize, job: Pending<T>) {
+        let picked = Instant::now();
+        let Pending { id, client, mut key, run, deadline, on_done, enqueued } = job;
+        let cfg = &self.cfg;
+        let (result, cache_hit, session, trace) = guarded(|| {
+            if let (Some(cache), Some(codec)) = (&cfg.cache, &self.codec) {
+                if let Some(value) = cache.load(&key, &cfg.salt, codec) {
+                    return (Ok(value), true, None, None);
+                }
+            }
+            let sessions = cfg.sessions.as_ref();
+            let session = sessions.map(|s| ap_trace::session::SessionConfig::filtered(s.filter));
+            let supervised = supervise(deadline, session, run);
+            let trace = match (sessions.and_then(|s| s.export.as_deref()), &supervised.trace) {
+                (Some(dir), Some(session)) => write_trace(dir, &key, session),
+                _ => None,
+            };
+            if let (Ok(value), Some(cache), Some(codec)) =
+                (&supervised.result, &cfg.cache, &self.codec)
+            {
+                cache.store(&key, &cfg.salt, value, codec);
+            }
+            (supervised.result, false, supervised.trace, trace)
+        })
+        .unwrap_or_else(|e| (Err(e), false, None, None));
+        let wall = picked.elapsed();
+        if let Some(codec) = &self.codec {
+            let flight = (key, deadline);
+            let waiters = self.lock().inflight.remove(&flight).unwrap_or_default();
+            key = flight.0;
+            for (waiter, picked) in waiters {
+                let result = match &result {
+                    Ok(value) => guarded(|| {
+                        (codec.decode)(&(codec.encode)(value)).expect("a codec decodes its output")
+                    }),
+                    Err(e) => Err(e.clone()),
+                };
+                let outcome = JobOutcome {
+                    key: waiter.key,
+                    cache_hit: result.is_ok(),
+                    result,
+                    wall: picked.elapsed(),
+                    worker,
+                    trace: None,
+                };
+                let queued = picked.saturating_duration_since(waiter.enqueued);
+                let completion = Completion {
+                    id: waiter.id,
+                    client: waiter.client,
+                    queued,
+                    outcome,
+                    trace: None,
+                };
+                self.complete(completion, waiter.on_done);
+            }
+        }
+        let outcome = JobOutcome { key, result, wall, cache_hit, worker, trace };
+        let queued = picked.saturating_duration_since(enqueued);
+        self.complete(Completion { id, client, queued, outcome, trace: session }, on_done);
+    }
+
+    /// Queues a picked job's completion, then delivers queued ones while
+    /// this worker can take the delivery turn (module docs, step 4), giving
+    /// the turn up before each callback so another worker can write lines.
+    fn complete(&self, completion: Completion<T>, on_done: OnDone<T>) {
+        self.outbox().push_back((completion, on_done));
+        while !self.outbox().is_empty()
+            && self.delivering.compare_exchange(false, true, SeqCst, SeqCst).is_ok()
+        {
+            let next = self.outbox().pop_front();
+            if let Some((completion, _)) = &next {
+                self.record(completion);
+            }
+            self.delivering.store(false, SeqCst);
+            if let Some((completion, on_done)) = next {
+                call(on_done, completion);
+                self.lock().running -= 1;
+                self.settled.notify_all();
+            }
+        }
+    }
+
+    fn outbox(&self) -> MutexGuard<'_, VecDeque<Delivery<T>>> {
+        self.outbox.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Delivers a cancelled job: its manifest line, then its callback.
+    fn cancelled(&self, job: Pending<T>) {
+        let outcome = JobOutcome {
+            key: job.key,
+            result: Err(JobError::Cancelled),
+            wall: Duration::ZERO,
+            cache_hit: false,
+            worker: 0,
+            trace: None,
+        };
+        let queued = job.enqueued.elapsed();
+        let completion =
+            Completion { id: job.id, client: job.client, queued, outcome, trace: None };
+        self.record(&completion);
+        call(job.on_done, completion);
+    }
+
+    /// Writes `completion`'s manifest line, with diag counts on `ok` lines.
+    fn record(&self, completion: &Completion<T>) {
+        if let Some(writer) = &self.cfg.manifest {
+            let diag = match (&self.codec, &completion.outcome.result) {
+                (Some(codec), Ok(value)) => {
+                    codec.diag.and_then(|diag| guarded(|| diag(value)).ok())
+                }
+                _ => None,
+            };
+            writer.record(&manifest::Entry::of(&completion.outcome, diag));
+        }
+    }
 }
 
-fn worker_loop<T: Send + 'static>(index: usize, shared: &Shared<T>) {
-    loop {
-        let pending = {
-            let mut state = shared.lock();
-            loop {
-                if state.stop {
-                    return;
-                }
-                if let Some(p) = state.pick() {
-                    state.running += 1;
-                    break p;
-                }
-                state = shared
-                    .work_ready
-                    .wait(state)
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-            }
-        };
-        let queued = pending.enqueued.elapsed();
-        let session = shared.cfg.collect_sessions.then(ap_trace::session::SessionConfig::default);
-        let started = Instant::now();
-        let supervised = supervise(pending.deadline, session, pending.run);
-        let completion = Completion {
-            id: pending.id,
-            client: pending.client,
-            key: pending.key,
-            result: supervised.result,
-            queued,
-            wall: started.elapsed(),
-            worker: index,
-            trace: supervised.trace,
-        };
-        (pending.on_done)(completion);
-        {
-            let mut state = shared.lock();
-            state.running -= 1;
+/// Hands `completion` to `on_done`; a panicking callback is a counted
+/// warning, so it takes no pool thread down.
+fn call<T>(on_done: OnDone<T>, completion: Completion<T>) {
+    if let Err(e) = guarded(|| on_done(completion)) {
+        ap_trace::warn("service.callback_panicked", format!("a completion callback {e}"));
+    }
+}
+
+/// Runs `f`, turning a panic into [`JobError::Panicked`].
+fn guarded<R>(f: impl FnOnce() -> R) -> Result<R, JobError> {
+    std::panic::catch_unwind(AssertUnwindSafe(f))
+        .map_err(|payload| JobError::Panicked(panic_message(&*payload)))
+}
+
+/// Exports `trace` as `<fnv1a(key)>.trace.json` under `dir`. Failures are
+/// counted warnings, not errors: a lost trace never fails the job.
+fn write_trace(dir: &Path, key: &str, trace: &ap_trace::session::Trace) -> Option<PathBuf> {
+    let path = dir.join(format!("{:016x}.trace.json", fnv1a(key.as_bytes())));
+    let json = ap_trace::chrome::export(trace, key);
+    match std::fs::write(&path, json) {
+        Ok(()) => Some(path),
+        Err(e) => {
+            ap_trace::warn(
+                "trace.write_failed",
+                format!("cannot write trace for {key} to {}: {e}", path.display()),
+            );
+            None
         }
-        shared.settled.notify_all();
     }
 }
 
@@ -441,7 +651,7 @@ mod tests {
             workers,
             queue_capacity: 16,
             default_deadline: Some(Duration::from_secs(30)),
-            collect_sessions: false,
+            ..ServiceConfig::default()
         }
     }
 
@@ -468,7 +678,7 @@ mod tests {
     fn round_robin_interleaves_clients() {
         // One worker, two clients with 3 queued jobs each (queued while the
         // worker is blocked on a gate job): execution must alternate A,B.
-        let service = Service::start(quick_cfg(1));
+        let service = Service::start(quick_cfg(1), None);
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
         let (tx, rx) = mpsc::channel();
         service
@@ -498,7 +708,7 @@ mod tests {
     #[test]
     fn bounded_queues_reject_with_busy() {
         let cfg = ServiceConfig { queue_capacity: 2, ..quick_cfg(1) };
-        let service = Service::start(cfg);
+        let service = Service::start(cfg, None);
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
         service
             .submit(
@@ -526,7 +736,7 @@ mod tests {
 
     #[test]
     fn queued_jobs_cancel_running_jobs_do_not() {
-        let service = Service::start(quick_cfg(1));
+        let service = Service::start(quick_cfg(1), None);
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
         let (tx, rx) = mpsc::channel();
         let running = service
@@ -548,7 +758,7 @@ mod tests {
         assert!(!service.cancel(queued), "cancel is not repeatable");
         gate_tx.send(()).unwrap();
         let mut results: Vec<(JobId, Result<u32, JobError>)> =
-            (0..2).map(|_| rx.recv().unwrap()).map(|c| (c.id, c.result)).collect();
+            (0..2).map(|_| rx.recv().unwrap()).map(|c| (c.id, c.outcome.result)).collect();
         results.sort_by_key(|(id, _)| *id);
         assert_eq!(results[0].0, running);
         assert_eq!(results[0].1.as_ref().unwrap(), &1);
@@ -559,7 +769,7 @@ mod tests {
 
     #[test]
     fn drain_blocks_until_empty_and_rejects_new_work() {
-        let service = Arc::new(Service::start(quick_cfg(2)));
+        let service = Arc::new(Service::start(quick_cfg(2), None));
         let (tx, rx) = mpsc::channel();
         for i in 0..6 {
             service
@@ -586,7 +796,7 @@ mod tests {
 
     #[test]
     fn per_job_deadlines_and_panics_are_isolated() {
-        let service = Service::start(quick_cfg(2));
+        let service = Service::start(quick_cfg(2), None);
         let (tx, rx) = mpsc::channel();
         service
             .submit(
@@ -606,7 +816,7 @@ mod tests {
         let mut by_key = std::collections::BTreeMap::new();
         for _ in 0..3 {
             let c = rx.recv().unwrap();
-            by_key.insert(c.key.clone(), c.result);
+            by_key.insert(c.outcome.key, c.outcome.result);
         }
         assert!(matches!(by_key["slow"], Err(JobError::TimedOut(_))));
         assert!(matches!(by_key["bad"], Err(JobError::Panicked(_))));
@@ -616,7 +826,7 @@ mod tests {
 
     #[test]
     fn retire_client_cancels_only_that_clients_queue() {
-        let service = Service::start(quick_cfg(1));
+        let service = Service::start(quick_cfg(1), None);
         let (gate_tx, gate_rx) = mpsc::channel::<()>();
         let (tx, rx) = mpsc::channel();
         service
@@ -635,8 +845,10 @@ mod tests {
         service.submit(2, Job::new("b1", || {}), None, send_done(&tx)).unwrap();
         assert_eq!(service.retire_client(1), 2);
         gate_tx.send(()).unwrap();
-        let mut outcomes: Vec<(String, bool)> =
-            (0..3).map(|_| rx.recv().unwrap()).map(|c| (c.key, c.result.is_ok())).collect();
+        let mut outcomes: Vec<(String, bool)> = (0..3)
+            .map(|_| rx.recv().unwrap())
+            .map(|c| (c.outcome.key, c.outcome.result.is_ok()))
+            .collect();
         outcomes.sort();
         assert_eq!(outcomes, vec![("a1".into(), false), ("a2".into(), false), ("b1".into(), true)]);
         service.shutdown();
@@ -644,8 +856,9 @@ mod tests {
 
     #[test]
     fn sessions_flow_back_when_enabled() {
-        let cfg = ServiceConfig { collect_sessions: true, ..quick_cfg(1) };
-        let service = Service::start(cfg);
+        let sessions = Sessions { filter: ap_trace::Filter::NONE, export: None };
+        let cfg = ServiceConfig { sessions: Some(sessions), ..quick_cfg(1) };
+        let service = Service::start(cfg, None);
         let (tx, rx) = mpsc::channel();
         service
             .submit(
@@ -662,5 +875,108 @@ mod tests {
         let trace = c.trace.expect("session collected");
         assert_eq!(trace.counters.iter().find(|x| x.name == "svc.test").unwrap().value(), 5);
         service.shutdown();
+    }
+
+    #[test]
+    fn a_running_key_is_computed_once_for_every_client() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        static SECOND_RUNS: AtomicUsize = AtomicUsize::new(0);
+        let codec =
+            Codec::<u32> { encode: |v| v.to_string(), decode: |s| s.parse().ok(), diag: None };
+        let service = Service::start(quick_cfg(2), Some(codec));
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let (tx, rx) = mpsc::channel();
+        let gated = Job::new("k", move || {
+            gate_rx.recv().unwrap();
+            42u32
+        });
+        service.submit(1, gated, None, send_done(&tx)).unwrap();
+        wait_running(&service, 1);
+        let duplicate = Job::new("k", || {
+            SECOND_RUNS.fetch_add(1, Ordering::SeqCst);
+            7u32
+        });
+        service.submit(2, duplicate, None, send_done(&tx)).unwrap();
+        // The second worker picks the duplicate and attaches it to the
+        // running job instead of computing it.
+        wait_running(&service, 2);
+        gate_tx.send(()).unwrap();
+        let done: Vec<Completion<u32>> = (0..2).map(|_| rx.recv().unwrap()).collect();
+        for c in &done {
+            assert_eq!(c.outcome.result, Ok(42), "client {}", c.client);
+        }
+        assert_eq!(SECOND_RUNS.load(Ordering::SeqCst), 0, "the duplicate never ran");
+        assert_eq!(done.iter().filter(|c| !c.outcome.cache_hit).count(), 1);
+        service.shutdown();
+    }
+
+    #[test]
+    fn completions_queued_behind_a_manifest_write_are_all_delivered() {
+        let path = std::env::temp_dir().join(format!("ap-service-queue-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let writer = manifest::Writer::append(&path).unwrap();
+        let service =
+            Service::start(ServiceConfig { manifest: Some(writer), ..quick_cfg(4) }, None);
+        let (tx, rx) = mpsc::channel();
+        for i in 0..24u32 {
+            let job = Job::new(format!("j{i}"), move || i);
+            service.submit(u64::from(i % 3), job, None, send_done(&tx)).unwrap();
+        }
+        service.drain();
+        assert_eq!(rx.try_iter().count(), 24, "every accepted job delivered by drain");
+        assert_eq!(manifest::summarize(&path).unwrap().total, 24);
+        service.shutdown();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_running_key_under_another_deadline_runs_on_its_own() {
+        let codec =
+            Codec::<u32> { encode: |v| v.to_string(), decode: |s| s.parse().ok(), diag: None };
+        let service = Service::start(quick_cfg(2), Some(codec));
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let (tx, rx) = mpsc::channel();
+        let gated = Job::new("k", move || {
+            gate_rx.recv().unwrap();
+            42u32
+        });
+        service.submit(1, gated, None, send_done(&tx)).unwrap();
+        wait_running(&service, 1);
+        // Same key, shorter deadline: attaching would hand this job the
+        // other run's deadline, so it computes on the second worker while
+        // the first run is still gated.
+        let other = Job::new("k", || 7u32);
+        service.submit(2, other, Some(Some(Duration::from_secs(20))), send_done(&tx)).unwrap();
+        let first = rx.recv().unwrap();
+        assert_eq!((first.client, first.outcome.cache_hit), (2, false));
+        assert_eq!(first.outcome.result, Ok(7));
+        gate_tx.send(()).unwrap();
+        let second = rx.recv().unwrap();
+        assert_eq!((second.client, second.outcome.result), (1, Ok(42)));
+        service.shutdown();
+    }
+
+    #[test]
+    fn codec_and_callback_panics_fail_only_their_job() {
+        let dir = std::env::temp_dir().join(format!("ap-service-panics-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let codec = Codec::<u32> {
+            encode: |_| panic!("injected encode panic"),
+            decode: |s| s.parse().ok(),
+            diag: None,
+        };
+        let cfg = ServiceConfig { cache: Some(DiskCache::new(&dir)), ..quick_cfg(1) };
+        let service = Service::start(cfg, Some(codec));
+        let (tx, rx) = mpsc::channel();
+        service.submit(1, Job::new("stored", || 1u32), None, send_done(&tx)).unwrap();
+        service.submit(1, Job::new("loud", || 2u32), None, |_| panic!("injected")).unwrap();
+        service.drain();
+        assert_eq!(service.load(), (0, 0), "every accepted job completed");
+        match rx.recv().unwrap().outcome.result {
+            Err(JobError::Panicked(msg)) => assert!(msg.contains("injected encode panic")),
+            other => panic!("expected the store's panic, got {other:?}"),
+        }
+        service.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,12 +1,6 @@
 //! Supervised single-job execution: one dedicated thread, panic capture,
-//! a wall-clock watchdog, and optional trace-session collection.
-//!
-//! This is the fault-isolation primitive under both execution front ends:
-//! the batch [`Engine`](crate::Engine) wraps it per sweep point, and the
-//! long-lived [`Service`](crate::Service) pool wraps it per submitted job.
-//! Keeping it as a free function guarantees the two paths cannot drift —
-//! a daemon job dies (or survives a sibling's panic) exactly the way a
-//! batch job does.
+//! a wall-clock watchdog, and optional trace-session collection. The
+//! [`Service`](crate::Service) worker runs every computed job through it.
 
 use crate::job::JobError;
 use std::panic::AssertUnwindSafe;
@@ -15,14 +9,14 @@ use std::time::{Duration, Instant};
 
 /// The outcome of one supervised execution.
 #[derive(Debug)]
-pub struct Supervised<T> {
+pub(crate) struct Supervised<T> {
     /// The job's value, or why there is none.
-    pub result: Result<T, JobError>,
+    pub(crate) result: Result<T, JobError>,
     /// The job thread's finished trace session, when one was requested and
     /// the job completed (even by panicking — crashes keep their timeline).
     /// `None` on timeout: the abandoned thread's session is discarded with
     /// the thread.
-    pub trace: Option<ap_trace::session::Trace>,
+    pub(crate) trace: Option<ap_trace::session::Trace>,
 }
 
 /// Runs `run` on a dedicated watchdog-supervised thread and blocks until it
@@ -41,7 +35,7 @@ pub struct Supervised<T> {
 ///
 /// The thread gets a 16 MB stack: simulations recurse deeply and must not
 /// inherit a small default.
-pub fn supervise<T: Send + 'static>(
+pub(crate) fn supervise<T: Send + 'static>(
     deadline: Option<Duration>,
     session: Option<ap_trace::session::SessionConfig>,
     run: Box<dyn FnOnce() -> T + Send>,

@@ -1,4 +1,4 @@
-//! Per-job trace artifacts: with a [`TraceSink`] every fresh execution
+//! Per-job trace artifacts: with `Engine::with_trace_dir` every fresh execution
 //! exports a parseable Chrome trace containing its `job.run` span, cache
 //! hits stay untraced, the manifest records which jobs carry traces, and
 //! a traced run's filter ends with its jobs.
