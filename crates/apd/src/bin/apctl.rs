@@ -8,12 +8,11 @@
 use ap_apd::client::{http_get, Client};
 use ap_apd::proto::{Outcome, WireSpec};
 use ap_apps::{App, ExecMode, SystemKind};
+use ap_bench::cli::ModeChoice;
+use ap_bench::dse;
 use ap_bench::runner::{report_codec, RunSpec};
 use ap_bench::sweep::sweep_specs;
-use ap_dse::collect::{pareto_points, Collector};
-use ap_dse::grid::{expand, Grid};
-use ap_dse::pareto::{front, OBJECTIVES};
-use ap_dse::report::{DseReport, FrontRow};
+use ap_dse::grid::Grid;
 use radram::RadramConfig;
 
 fn usage() -> String {
@@ -230,78 +229,26 @@ fn run_dse(addr: &str, args: &[String]) {
             other => fail(&format!("unknown dse option {other:?}")),
         }
     }
-    // The exact grid a single-tier `experiments dse --mode <tier>` sweeps:
-    // same configs, same expansion order, and the wire spec rebuilds each
-    // RadramConfig through the same composable builders — so the daemon's
-    // cache keys match the in-process harness's byte for byte.
-    let grid = Grid::for_quick(quick);
-    let configs = grid.configs();
-    let specs: Vec<WireSpec> = expand(&configs, mode)
-        .iter()
-        .map(|s| {
-            let c = &configs[s.config_index];
-            WireSpec {
-                app: s.app,
-                kind: s.kind,
-                mode: s.mode,
-                pages: s.pages,
-                l1d_size: Some(c.l1d_size),
-                l1d_assoc: Some(c.l1d_assoc),
-                l1d_block: Some(c.l1d_block),
-                l2_size: None,
-                miss_latency: None,
-                logic_divisor: Some(c.logic_divisor),
-            }
-        })
-        .collect();
-    println!("dse sweep through {addr}: {}", grid.describe());
+    // The pipeline a single-tier `experiments dse --mode <tier>` runs, with
+    // each tier sent to the daemon: the wire specs rebuild every config
+    // through the same builders, so the cache keys match the in-process
+    // harness's byte for byte.
+    println!("dse sweep through {addr}: {}", Grid::for_quick(quick).describe());
     let mut client = connect(addr);
-    let start = std::time::Instant::now();
-    let results = client.run_all(&specs).unwrap_or_else(|e| fail(&e.to_string()));
-    let wall = start.elapsed().as_secs_f64();
-    let hits = results.iter().filter(|r| r.cache_hit).count();
-    let run_count = results.len();
-    let mut collector = Collector::new(configs);
-    for (i, result) in results.into_iter().enumerate() {
-        collector.push(i, result.report);
-    }
-    let (points, incomplete) = collector.finish();
-    let pareto = pareto_points(&points);
-    let ids = front(&pareto, &OBJECTIVES);
-    let tier = if mode == ExecMode::Fast { "fast" } else { "accurate" };
-    let report = DseReport {
+    let run = dse::run(
+        |configs, specs| {
+            client.run_dse_tier(configs, specs).unwrap_or_else(|e| fail(&e.to_string()))
+        },
         quick,
-        mode: tier,
-        grid: grid.describe(),
-        config_count: grid.config_count(),
-        run_count: grid.run_count(),
-        triage_points: points.len(),
-        incomplete,
-        rungs: vec![points.len()],
-        promoted: 0,
-        dominated: points.len() - ids.len(),
-        max_promoted_error: 0.0,
-        front: ids
-            .iter()
-            .map(|&pos| {
-                let (id, point) = &points[pos];
-                FrontRow {
-                    config_id: *id,
-                    speedup: point.speedup(),
-                    le_mhz: point.config.le_mhz(),
-                    area_bytes: point.config.area_bytes(),
-                    config: point.config.clone(),
-                    tier,
-                }
-            })
-            .collect(),
-    };
+        Some(ModeChoice::One(mode)),
+    );
+    let report = &run.report;
     print!("{}", report.table());
     println!(
-        "dse: {run_count} runs in {wall:.1}s, {hits} served from the daemon cache, \
-         {incomplete} incomplete"
+        "dse: {} runs in {:.1}s, {} served from the daemon cache, {} incomplete",
+        run.total_jobs, run.wall_secs, run.cache_hits, report.incomplete
     );
-    if incomplete > 0 || report.front.is_empty() {
+    if report.incomplete > 0 || report.front.is_empty() {
         std::process::exit(1);
     }
 }

@@ -4,6 +4,7 @@
 use crate::proto::{read_frame, FrameError, Outcome, Request, Response, WireSpec};
 use ap_apps::RunReport;
 use ap_bench::runner::report_codec;
+use ap_dse::grid::{DseConfig, DseSpec};
 use std::io::{BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -254,6 +255,20 @@ impl Client {
             collected += 1;
         }
         Ok(results.into_iter().map(|r| r.expect("all slots filled")).collect())
+    }
+
+    /// Runs one tier of a design-space sweep: the executor
+    /// `ap_bench::dse::run` takes, backed by the daemon. Every spec travels
+    /// as [`WireSpec::dse`] of its config; the result is one
+    /// `(report, cache_hit)` per spec, in order.
+    pub fn run_dse_tier(
+        &mut self,
+        configs: &[DseConfig],
+        specs: &[DseSpec],
+    ) -> Result<Vec<(Option<RunReport>, bool)>, ClientError> {
+        let wire: Vec<WireSpec> =
+            specs.iter().map(|s| WireSpec::dse(&configs[s.config_index], s.kind, s.mode)).collect();
+        Ok(self.run_all(&wire)?.into_iter().map(|r| (r.report, r.cache_hit)).collect())
     }
 
     /// Cancels a queued job; `true` if it was still cancellable.

@@ -14,6 +14,7 @@
 
 use crate::json::{self, obj, Value};
 use ap_apps::{App, ExecMode, SystemKind};
+use ap_dse::grid::DseConfig;
 use radram::RadramConfig;
 use std::io::BufRead;
 
@@ -77,6 +78,21 @@ impl WireSpec {
     pub fn with_mode(mut self, mode: ExecMode) -> WireSpec {
         self.mode = mode;
         self
+    }
+
+    /// One run of a design-space cell: `config`'s knobs on system `kind`
+    /// and tier `mode`. [`WireSpec::config`] rebuilds exactly
+    /// [`DseConfig::radram_config`], so the daemon keys the run as an
+    /// in-process DSE sweep does.
+    pub fn dse(config: &DseConfig, kind: SystemKind, mode: ExecMode) -> WireSpec {
+        WireSpec {
+            mode,
+            l1d_size: Some(config.l1d_size),
+            l1d_assoc: Some(config.l1d_assoc),
+            l1d_block: Some(config.l1d_block),
+            logic_divisor: Some(config.logic_divisor),
+            ..WireSpec::point(config.app, kind, config.pages)
+        }
     }
 
     /// The [`RadramConfig`] this spec describes: the reference system with

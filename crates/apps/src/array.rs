@@ -178,23 +178,21 @@ fn op_index(n: usize, j: usize) -> usize {
 
 /// Runs one array-primitive benchmark at `pages` problem size.
 ///
+/// `mode` picks the execution tier (see DESIGN.md §13).
+///
 /// # Examples
 ///
 /// ```no_run
 /// use ap_apps::array::{run, ArrayPrimitive};
-/// use ap_apps::SystemKind;
+/// use ap_apps::{ExecMode, SystemKind};
 /// use radram::RadramConfig;
 ///
-/// let conv = run(ArrayPrimitive::Find, SystemKind::Conventional, 0.5, &RadramConfig::reference());
-/// let rad = run(ArrayPrimitive::Find, SystemKind::Radram, 0.5, &RadramConfig::reference());
+/// let cfg = RadramConfig::reference();
+/// let conv = run(ArrayPrimitive::Find, SystemKind::Conventional, 0.5, &cfg, ExecMode::Accurate);
+/// let rad = run(ArrayPrimitive::Find, SystemKind::Radram, 0.5, &cfg, ExecMode::Accurate);
 /// assert_eq!(conv.checksum, rad.checksum);
 /// ```
-pub fn run(prim: ArrayPrimitive, kind: SystemKind, pages: f64, cfg: &RadramConfig) -> RunReport {
-    run_mode(prim, kind, pages, cfg, ExecMode::Accurate)
-}
-
-/// [`run`] on the execution tier `mode` selects (see DESIGN.md §13).
-pub fn run_mode(
+pub fn run(
     prim: ArrayPrimitive,
     kind: SystemKind,
     pages: f64,
@@ -516,29 +514,23 @@ fn run_radram(
 /// operations re-binds the group and pays the reconfiguration cost
 /// ("re-binding may be necessary to make room for new functions").
 ///
+/// `mode` picks the execution tier (see DESIGN.md §13).
+///
 /// # Examples
 ///
 /// ```no_run
 /// use ap_apps::array::run_script;
-/// use ap_apps::SystemKind;
+/// use ap_apps::{ExecMode, SystemKind};
 /// use ap_workloads::array_ops::Script;
 /// use radram::RadramConfig;
 ///
 /// let script = Script::generate(1, 10_000, 16);
-/// let c = run_script(&script, SystemKind::Conventional, &RadramConfig::reference());
-/// let r = run_script(&script, SystemKind::Radram, &RadramConfig::reference());
+/// let cfg = RadramConfig::reference();
+/// let c = run_script(&script, SystemKind::Conventional, &cfg, ExecMode::Accurate);
+/// let r = run_script(&script, SystemKind::Radram, &cfg, ExecMode::Accurate);
 /// assert_eq!(c.checksum, r.checksum);
 /// ```
 pub fn run_script(
-    script: &ap_workloads::array_ops::Script,
-    kind: SystemKind,
-    cfg: &RadramConfig,
-) -> RunReport {
-    run_script_mode(script, kind, cfg, ExecMode::Accurate)
-}
-
-/// [`run_script`] on the execution tier `mode` selects.
-pub fn run_script_mode(
     script: &ap_workloads::array_ops::Script,
     kind: SystemKind,
     cfg: &RadramConfig,
@@ -673,8 +665,8 @@ mod tests {
     }
 
     fn both(prim: ArrayPrimitive, pages: f64) -> (RunReport, RunReport) {
-        let c = run(prim, SystemKind::Conventional, pages, &reference());
-        let r = run(prim, SystemKind::Radram, pages, &reference());
+        let c = run(prim, SystemKind::Conventional, pages, &reference(), ExecMode::Accurate);
+        let r = run(prim, SystemKind::Radram, pages, &reference(), ExecMode::Accurate);
         (c, r)
     }
 
@@ -720,9 +712,16 @@ mod tests {
     fn sub_page_delete_uses_the_processor() {
         // The adaptive algorithm should do sub-page deletes without any page
         // activations at all.
-        let r = run(ArrayPrimitive::Delete, SystemKind::Radram, 0.1, &reference());
+        let r =
+            run(ArrayPrimitive::Delete, SystemKind::Radram, 0.1, &reference(), ExecMode::Accurate);
         assert_eq!(r.stats.activations, 0);
-        let c = run(ArrayPrimitive::Delete, SystemKind::Conventional, 0.1, &reference());
+        let c = run(
+            ArrayPrimitive::Delete,
+            SystemKind::Conventional,
+            0.1,
+            &reference(),
+            ExecMode::Accurate,
+        );
         assert_eq!(c.checksum, r.checksum);
     }
 

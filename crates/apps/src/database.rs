@@ -104,21 +104,18 @@ fn key_words(key: &[u8; LAST_NAME_LEN]) -> [u32; 4] {
 
 /// Runs the database benchmark at `pages` problem size.
 ///
+/// `mode` picks the execution tier (see DESIGN.md §13).
+///
 /// # Examples
 ///
 /// ```no_run
-/// use ap_apps::{database, SystemKind};
+/// use ap_apps::{database, ExecMode, SystemKind};
 /// use radram::RadramConfig;
 ///
-/// let r = database::run(SystemKind::Radram, 1.0, &RadramConfig::reference());
+/// let r = database::run(SystemKind::Radram, 1.0, &RadramConfig::reference(), ExecMode::Accurate);
 /// assert!(r.stats.activations >= 1);
 /// ```
-pub fn run(kind: SystemKind, pages: f64, cfg: &RadramConfig) -> RunReport {
-    run_mode(kind, pages, cfg, ExecMode::Accurate)
-}
-
-/// [`run`] on the execution tier `mode` selects (see DESIGN.md §13).
-pub fn run_mode(kind: SystemKind, pages: f64, cfg: &RadramConfig, mode: ExecMode) -> RunReport {
+pub fn run(kind: SystemKind, pages: f64, cfg: &RadramConfig, mode: ExecMode) -> RunReport {
     let records = ((pages * RECORDS_PER_PAGE as f64) as usize).max(16);
     let alloc_pages = records.div_ceil(RECORDS_PER_PAGE);
     let mut cfg = cfg.clone();
@@ -328,7 +325,7 @@ pub mod xl {
         whole.div_ceil(TENANT_PAGES) * TENANT_PAGES
     }
 
-    /// Query-stream length used by the uniform `run_mode` entry point.
+    /// Query-stream length used by the uniform `run` entry point.
     pub fn queries_for(pages: usize) -> usize {
         (pages / TENANT_PAGES).clamp(16, 256)
     }
@@ -386,7 +383,7 @@ pub mod xl {
 
     /// Runs `database-xl` at `pages` problem size (rounded up to whole
     /// tenant shards) with the default query stream.
-    pub fn run_mode(kind: SystemKind, pages: f64, cfg: &RadramConfig, mode: ExecMode) -> RunReport {
+    pub fn run(kind: SystemKind, pages: f64, cfg: &RadramConfig, mode: ExecMode) -> RunReport {
         let whole = shard_pages(pages);
         let wl = Workload::new(whole, queries_for(whole));
         run_prepared(kind, &wl, cfg, mode)
@@ -596,16 +593,16 @@ mod tests {
     #[test]
     fn both_systems_count_the_same_matches() {
         let cfg = RadramConfig::reference();
-        let c = run(SystemKind::Conventional, 0.05, &cfg);
-        let r = run(SystemKind::Radram, 0.05, &cfg);
+        let c = run(SystemKind::Conventional, 0.05, &cfg, ExecMode::Accurate);
+        let r = run(SystemKind::Radram, 0.05, &cfg, ExecMode::Accurate);
         assert_eq!(c.checksum, r.checksum);
     }
 
     #[test]
     fn multi_page_query_aggregates_partial_counts() {
         let cfg = RadramConfig::reference();
-        let c = run(SystemKind::Conventional, 2.5, &cfg);
-        let r = run(SystemKind::Radram, 2.5, &cfg);
+        let c = run(SystemKind::Conventional, 2.5, &cfg, ExecMode::Accurate);
+        let r = run(SystemKind::Radram, 2.5, &cfg, ExecMode::Accurate);
         assert_eq!(c.checksum, r.checksum);
         assert_eq!(r.stats.activations, 3);
         assert!(speedup(&c, &r) > 0.5);

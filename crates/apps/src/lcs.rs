@@ -160,47 +160,39 @@ pub enum BoundaryMode {
     CircuitRequested,
 }
 
-/// Runs the dynamic-programming benchmark at `pages` problem size.
+/// Runs the dynamic-programming benchmark at `pages` problem size with the
+/// evaluation's app-driven boundary staging.
+///
+/// `mode` picks the execution tier (see DESIGN.md §13).
 ///
 /// # Examples
 ///
 /// ```no_run
-/// use ap_apps::{lcs, SystemKind};
+/// use ap_apps::{lcs, ExecMode, SystemKind};
 /// use radram::RadramConfig;
 ///
-/// let r = lcs::run(SystemKind::Radram, 1.0, &RadramConfig::reference());
+/// let r = lcs::run(SystemKind::Radram, 1.0, &RadramConfig::reference(), ExecMode::Accurate);
 /// assert!(r.kernel_cycles > 0);
 /// ```
-pub fn run(kind: SystemKind, pages: f64, cfg: &RadramConfig) -> RunReport {
-    run_full(kind, pages, cfg, BoundaryMode::AppDriven, ExecMode::Accurate)
-}
-
-/// [`run`] on the execution tier `exec` selects (see DESIGN.md §13).
-pub fn run_mode(kind: SystemKind, pages: f64, cfg: &RadramConfig, exec: ExecMode) -> RunReport {
-    run_full(kind, pages, cfg, BoundaryMode::AppDriven, exec)
+pub fn run(kind: SystemKind, pages: f64, cfg: &RadramConfig, mode: ExecMode) -> RunReport {
+    run_with(kind, pages, cfg, BoundaryMode::AppDriven, mode)
 }
 
 /// [`run`] with an explicit boundary-communication mode (ablation hook).
-pub fn run_with(kind: SystemKind, pages: f64, cfg: &RadramConfig, mode: BoundaryMode) -> RunReport {
-    run_full(kind, pages, cfg, mode, ExecMode::Accurate)
-}
-
-/// [`run`] with both the boundary-communication mode and the execution tier
-/// explicit.
-pub fn run_full(
+pub fn run_with(
     kind: SystemKind,
     pages: f64,
     cfg: &RadramConfig,
-    mode: BoundaryMode,
-    exec: ExecMode,
+    boundary: BoundaryMode,
+    mode: ExecMode,
 ) -> RunReport {
     let (n, p) = dims(pages);
     let pair = seqs(n);
     let mut cfg = cfg.clone();
     cfg.ram_capacity = (p + 4) * PAGE_SIZE + 4 * n * COLS;
     match kind {
-        SystemKind::Conventional => run_conventional(pages, &pair, n, cfg, exec),
-        SystemKind::Radram => run_radram(pages, &pair, n, p, cfg, mode, exec),
+        SystemKind::Conventional => run_conventional(pages, &pair, n, cfg, mode),
+        SystemKind::Radram => run_radram(pages, &pair, n, p, cfg, boundary, mode),
     }
 }
 
@@ -430,16 +422,16 @@ mod tests {
     #[test]
     fn lcs_matches_across_systems_single_page() {
         let cfg = RadramConfig::reference();
-        let c = run(SystemKind::Conventional, 0.4, &cfg);
-        let r = run(SystemKind::Radram, 0.4, &cfg);
+        let c = run(SystemKind::Conventional, 0.4, &cfg, ExecMode::Accurate);
+        let r = run(SystemKind::Radram, 0.4, &cfg, ExecMode::Accurate);
         assert_eq!(c.checksum, r.checksum);
     }
 
     #[test]
     fn lcs_matches_across_systems_multi_page() {
         let cfg = RadramConfig::reference();
-        let c = run(SystemKind::Conventional, 2.0, &cfg);
-        let r = run(SystemKind::Radram, 2.0, &cfg);
+        let c = run(SystemKind::Conventional, 2.0, &cfg, ExecMode::Accurate);
+        let r = run(SystemKind::Radram, 2.0, &cfg, ExecMode::Accurate);
         assert_eq!(c.checksum, r.checksum, "boundary staging corrupted the wavefront");
         assert!(speedup(&c, &r) > 1.0);
     }
@@ -449,15 +441,21 @@ mod tests {
         // With several pages the anti-diagonal schedule must activate more
         // than (pages × strips) times... exactly that many, in fact.
         let cfg = RadramConfig::reference();
-        let r = run(SystemKind::Radram, 3.0, &cfg);
+        let r = run(SystemKind::Radram, 3.0, &cfg, ExecMode::Accurate);
         assert_eq!(r.stats.activations as usize, 3 * (COLS / STRIP));
     }
 
     #[test]
     fn circuit_requested_boundaries_match_app_driven() {
         let cfg = RadramConfig::reference();
-        let c = run(SystemKind::Conventional, 1.8, &cfg);
-        let intr = run_with(SystemKind::Radram, 1.8, &cfg, BoundaryMode::CircuitRequested);
+        let c = run(SystemKind::Conventional, 1.8, &cfg, ExecMode::Accurate);
+        let intr = run_with(
+            SystemKind::Radram,
+            1.8,
+            &cfg,
+            BoundaryMode::CircuitRequested,
+            ExecMode::Accurate,
+        );
         assert_eq!(c.checksum, intr.checksum, "interrupt-driven boundaries corrupted the table");
         assert!(intr.stats.interrupt_batches > 0, "expected processor-mediated interrupts");
         assert!(intr.stats.interpage_copies > 0);
@@ -467,8 +465,14 @@ mod tests {
     fn hardware_boundaries_match_and_skip_interrupts() {
         let cfg = RadramConfig::reference().with_comm_mode(radram::CommMode::HardwareCopy);
         let base_cfg = RadramConfig::reference();
-        let c = run(SystemKind::Conventional, 1.8, &base_cfg);
-        let hw = run_with(SystemKind::Radram, 1.8, &cfg, BoundaryMode::CircuitRequested);
+        let c = run(SystemKind::Conventional, 1.8, &base_cfg, ExecMode::Accurate);
+        let hw = run_with(
+            SystemKind::Radram,
+            1.8,
+            &cfg,
+            BoundaryMode::CircuitRequested,
+            ExecMode::Accurate,
+        );
         assert_eq!(c.checksum, hw.checksum);
         assert_eq!(hw.stats.interrupt_batches, 0);
         assert!(hw.stats.interpage_copies > 0);

@@ -141,24 +141,18 @@ impl App {
         mode: ExecMode,
     ) -> RunReport {
         match self {
-            App::ArrayInsert => {
-                array::run_mode(array::ArrayPrimitive::Insert, kind, pages, cfg, mode)
-            }
-            App::ArrayDelete => {
-                array::run_mode(array::ArrayPrimitive::Delete, kind, pages, cfg, mode)
-            }
-            App::ArrayFind => array::run_mode(array::ArrayPrimitive::Find, kind, pages, cfg, mode),
-            App::Database => database::run_mode(kind, pages, cfg, mode),
-            App::Median => median::run_mode(kind, pages, cfg, mode),
-            App::DynProg => lcs::run_mode(kind, pages, cfg, mode),
+            App::ArrayInsert => array::run(array::ArrayPrimitive::Insert, kind, pages, cfg, mode),
+            App::ArrayDelete => array::run(array::ArrayPrimitive::Delete, kind, pages, cfg, mode),
+            App::ArrayFind => array::run(array::ArrayPrimitive::Find, kind, pages, cfg, mode),
+            App::Database => database::run(kind, pages, cfg, mode),
+            App::Median => median::run(kind, pages, cfg, mode),
+            App::DynProg => lcs::run(kind, pages, cfg, mode),
             App::MatrixSimplex => {
-                matrix::run_mode(matrix::MatrixVariant::Simplex, kind, pages, cfg, mode)
+                matrix::run(matrix::MatrixVariant::Simplex, kind, pages, cfg, mode)
             }
-            App::MatrixBoeing => {
-                matrix::run_mode(matrix::MatrixVariant::Boeing, kind, pages, cfg, mode)
-            }
-            App::MpegMmx => mpeg::run_mode(kind, pages, cfg, mode),
-            App::DatabaseXl => database::xl::run_mode(kind, pages, cfg, mode),
+            App::MatrixBoeing => matrix::run(matrix::MatrixVariant::Boeing, kind, pages, cfg, mode),
+            App::MpegMmx => mpeg::run(kind, pages, cfg, mode),
+            App::DatabaseXl => database::xl::run(kind, pages, cfg, mode),
         }
     }
 }

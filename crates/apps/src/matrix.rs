@@ -161,22 +161,20 @@ fn pair_count(pages: f64) -> usize {
 
 /// Runs a sparse-matrix benchmark variant at `pages` problem size.
 ///
+/// `mode` picks the execution tier (see DESIGN.md §13).
+///
 /// # Examples
 ///
 /// ```no_run
-/// use ap_apps::{matrix, SystemKind};
+/// use ap_apps::matrix::{run, MatrixVariant};
+/// use ap_apps::{ExecMode, SystemKind};
 /// use radram::RadramConfig;
 ///
-/// let r = matrix::run(matrix::MatrixVariant::Simplex, SystemKind::Radram, 1.0,
-///                     &RadramConfig::reference());
+/// let cfg = RadramConfig::reference();
+/// let r = run(MatrixVariant::Simplex, SystemKind::Radram, 1.0, &cfg, ExecMode::Accurate);
 /// assert!(r.stats.activations >= 1);
 /// ```
-pub fn run(variant: MatrixVariant, kind: SystemKind, pages: f64, cfg: &RadramConfig) -> RunReport {
-    run_mode(variant, kind, pages, cfg, ExecMode::Accurate)
-}
-
-/// [`run`] on the execution tier `mode` selects (see DESIGN.md §13).
-pub fn run_mode(
+pub fn run(
     variant: MatrixVariant,
     kind: SystemKind,
     pages: f64,
@@ -355,16 +353,17 @@ mod tests {
     #[test]
     fn simplex_results_match_across_systems() {
         let cfg = RadramConfig::reference();
-        let c = run(MatrixVariant::Simplex, SystemKind::Conventional, 0.3, &cfg);
-        let r = run(MatrixVariant::Simplex, SystemKind::Radram, 0.3, &cfg);
+        let c =
+            run(MatrixVariant::Simplex, SystemKind::Conventional, 0.3, &cfg, ExecMode::Accurate);
+        let r = run(MatrixVariant::Simplex, SystemKind::Radram, 0.3, &cfg, ExecMode::Accurate);
         assert_eq!(c.checksum, r.checksum);
     }
 
     #[test]
     fn boeing_results_match_across_systems_multi_page() {
         let cfg = RadramConfig::reference();
-        let c = run(MatrixVariant::Boeing, SystemKind::Conventional, 2.0, &cfg);
-        let r = run(MatrixVariant::Boeing, SystemKind::Radram, 2.0, &cfg);
+        let c = run(MatrixVariant::Boeing, SystemKind::Conventional, 2.0, &cfg, ExecMode::Accurate);
+        let r = run(MatrixVariant::Boeing, SystemKind::Radram, 2.0, &cfg, ExecMode::Accurate);
         assert_eq!(c.checksum, r.checksum);
         assert!(speedup(&c, &r) > 1.0);
     }

@@ -113,21 +113,18 @@ fn partition(pages: f64) -> Partition {
 /// phase; `total_cycles` adds the layout/I-O phase (Figure 5's
 /// `median-total`).
 ///
+/// `mode` picks the execution tier (see DESIGN.md §13).
+///
 /// # Examples
 ///
 /// ```no_run
-/// use ap_apps::{median, SystemKind};
+/// use ap_apps::{median, ExecMode, SystemKind};
 /// use radram::RadramConfig;
 ///
-/// let r = median::run(SystemKind::Radram, 0.5, &RadramConfig::reference());
+/// let r = median::run(SystemKind::Radram, 0.5, &RadramConfig::reference(), ExecMode::Accurate);
 /// assert!(r.total_cycles > r.kernel_cycles);
 /// ```
-pub fn run(kind: SystemKind, pages: f64, cfg: &RadramConfig) -> RunReport {
-    run_mode(kind, pages, cfg, ExecMode::Accurate)
-}
-
-/// [`run`] on the execution tier `mode` selects (see DESIGN.md §13).
-pub fn run_mode(kind: SystemKind, pages: f64, cfg: &RadramConfig, mode: ExecMode) -> RunReport {
+pub fn run(kind: SystemKind, pages: f64, cfg: &RadramConfig, mode: ExecMode) -> RunReport {
     let part = partition(pages);
     let img = Image::generate(0x1A6E, WIDTH, part.height, 0.04);
     let mut cfg = cfg.clone();
@@ -294,16 +291,16 @@ mod tests {
     #[test]
     fn filter_results_match_across_systems() {
         let cfg = RadramConfig::reference();
-        let c = run(SystemKind::Conventional, 0.15, &cfg);
-        let r = run(SystemKind::Radram, 0.15, &cfg);
+        let c = run(SystemKind::Conventional, 0.15, &cfg, ExecMode::Accurate);
+        let r = run(SystemKind::Radram, 0.15, &cfg, ExecMode::Accurate);
         assert_eq!(c.checksum, r.checksum);
     }
 
     #[test]
     fn multi_page_filter_handles_halos() {
         let cfg = RadramConfig::reference();
-        let c = run(SystemKind::Conventional, 2.2, &cfg);
-        let r = run(SystemKind::Radram, 2.2, &cfg);
+        let c = run(SystemKind::Conventional, 2.2, &cfg, ExecMode::Accurate);
+        let r = run(SystemKind::Radram, 2.2, &cfg, ExecMode::Accurate);
         assert_eq!(c.checksum, r.checksum, "halo rows mishandled across page boundary");
         assert!(speedup(&c, &r) > 1.0);
     }
@@ -311,7 +308,7 @@ mod tests {
     #[test]
     fn total_includes_layout_phase() {
         let cfg = RadramConfig::reference();
-        let r = run(SystemKind::Radram, 0.3, &cfg);
+        let r = run(SystemKind::Radram, 0.3, &cfg, ExecMode::Accurate);
         assert!(r.total_cycles > r.kernel_cycles);
     }
 

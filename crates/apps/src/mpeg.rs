@@ -149,21 +149,18 @@ fn frame_for(pages: f64) -> FrameWorkload {
 
 /// Runs the MPEG-MMX benchmark at `pages` problem size.
 ///
+/// `mode` picks the execution tier (see DESIGN.md §13).
+///
 /// # Examples
 ///
 /// ```no_run
-/// use ap_apps::{mpeg, SystemKind};
+/// use ap_apps::{mpeg, ExecMode, SystemKind};
 /// use radram::RadramConfig;
 ///
-/// let r = mpeg::run(SystemKind::Radram, 0.5, &RadramConfig::reference());
+/// let r = mpeg::run(SystemKind::Radram, 0.5, &RadramConfig::reference(), ExecMode::Accurate);
 /// assert!(r.stats.activations >= 3); // unpack, add, pack per chunk
 /// ```
-pub fn run(kind: SystemKind, pages: f64, cfg: &RadramConfig) -> RunReport {
-    run_mode(kind, pages, cfg, ExecMode::Accurate)
-}
-
-/// [`run`] on the execution tier `mode` selects (see DESIGN.md §13).
-pub fn run_mode(kind: SystemKind, pages: f64, cfg: &RadramConfig, mode: ExecMode) -> RunReport {
+pub fn run(kind: SystemKind, pages: f64, cfg: &RadramConfig, mode: ExecMode) -> RunReport {
     let frame = frame_for(pages);
     let npx = frame.predicted.len();
     let npages = npx.div_ceil(PX_PER_PAGE);
@@ -280,23 +277,23 @@ mod tests {
     #[test]
     fn corrected_frames_match_across_systems() {
         let cfg = RadramConfig::reference();
-        let c = run(SystemKind::Conventional, 0.2, &cfg);
-        let r = run(SystemKind::Radram, 0.2, &cfg);
+        let c = run(SystemKind::Conventional, 0.2, &cfg, ExecMode::Accurate);
+        let r = run(SystemKind::Radram, 0.2, &cfg, ExecMode::Accurate);
         assert_eq!(c.checksum, r.checksum);
     }
 
     #[test]
     fn multi_page_frames_match() {
         let cfg = RadramConfig::reference();
-        let c = run(SystemKind::Conventional, 2.0, &cfg);
-        let r = run(SystemKind::Radram, 2.0, &cfg);
+        let c = run(SystemKind::Conventional, 2.0, &cfg, ExecMode::Accurate);
+        let r = run(SystemKind::Radram, 2.0, &cfg, ExecMode::Accurate);
         assert_eq!(c.checksum, r.checksum);
     }
 
     #[test]
     fn macro_op_stream_is_three_ops_per_chunk() {
         let cfg = RadramConfig::reference();
-        let r = run(SystemKind::Radram, 1.0, &cfg);
+        let r = run(SystemKind::Radram, 1.0, &cfg, ExecMode::Accurate);
         let chunks = (PX_PER_PAGE / PX_PER_MACRO_OP) as u64;
         assert_eq!(r.stats.activations, 3 * chunks);
     }

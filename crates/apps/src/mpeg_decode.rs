@@ -95,22 +95,20 @@ impl PageFunction for EntropyDecodeFn {
 /// Runs the decode pipeline at `pages` problem size (in MMX pages of
 /// pixels, like the plain mpeg-mmx kernel).
 ///
+/// `mode` picks the execution tier (see DESIGN.md §13).
+///
 /// # Examples
 ///
 /// ```no_run
-/// use ap_apps::{mpeg_decode, SystemKind};
+/// use ap_apps::{mpeg_decode, ExecMode, SystemKind};
 /// use radram::RadramConfig;
 ///
-/// let c = mpeg_decode::run(SystemKind::Conventional, 0.5, &RadramConfig::reference());
-/// let r = mpeg_decode::run(SystemKind::Radram, 0.5, &RadramConfig::reference());
+/// let cfg = RadramConfig::reference();
+/// let c = mpeg_decode::run(SystemKind::Conventional, 0.5, &cfg, ExecMode::Accurate);
+/// let r = mpeg_decode::run(SystemKind::Radram, 0.5, &cfg, ExecMode::Accurate);
 /// assert_eq!(c.checksum, r.checksum);
 /// ```
-pub fn run(kind: SystemKind, pages: f64, cfg: &RadramConfig) -> RunReport {
-    run_mode(kind, pages, cfg, ExecMode::Accurate)
-}
-
-/// [`run`] on the execution tier `mode` selects (see DESIGN.md §13).
-pub fn run_mode(kind: SystemKind, pages: f64, cfg: &RadramConfig, mode: ExecMode) -> RunReport {
+pub fn run(kind: SystemKind, pages: f64, cfg: &RadramConfig, mode: ExecMode) -> RunReport {
     let px = ((pages * PX_PER_PAGE as f64) as usize).max(16 * 512);
     let height = (px / 512).div_ceil(16) * 16;
     let frame = CodedFrame::generate(0xDEC0DE, 512, height.max(16), 0.45);
@@ -338,8 +336,8 @@ mod tests {
     #[test]
     fn pipeline_matches_across_systems() {
         let cfg = RadramConfig::reference();
-        let c = run(SystemKind::Conventional, 0.3, &cfg);
-        let r = run(SystemKind::Radram, 0.3, &cfg);
+        let c = run(SystemKind::Conventional, 0.3, &cfg, ExecMode::Accurate);
+        let r = run(SystemKind::Radram, 0.3, &cfg, ExecMode::Accurate);
         assert_eq!(c.checksum, r.checksum);
     }
 
@@ -349,8 +347,8 @@ mod tests {
         // the crossover sits a few pages in (between 2 and 8 on the
         // reference machine).
         let cfg = RadramConfig::reference();
-        let c = run(SystemKind::Conventional, 8.0, &cfg);
-        let r = run(SystemKind::Radram, 8.0, &cfg);
+        let c = run(SystemKind::Conventional, 8.0, &cfg, ExecMode::Accurate);
+        let r = run(SystemKind::Radram, 8.0, &cfg, ExecMode::Accurate);
         assert_eq!(c.checksum, r.checksum);
         assert!(speedup(&c, &r) > 1.5, "got {:.2}", speedup(&c, &r));
     }

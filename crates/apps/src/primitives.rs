@@ -12,7 +12,7 @@
 //! so it moves fewer words per logic cycle than the hand-specialized
 //! Table 3 circuits. [`run_script_primitives`] runs the STL-array mixed
 //! script on this backend so the trade-off can be measured against
-//! [`crate::array::run_script`] (the ablations bench does exactly that).
+//! [`crate::array::run_script`] (`experiments ablations` does exactly that).
 
 use crate::array::ELEMS_PER_PAGE;
 use crate::common::{fnv_mix, RunReport, SystemKind};
@@ -232,28 +232,21 @@ impl PrimArray {
 /// Runs a mixed array script on the primitive backend (RADram only): one
 /// binding for the whole script, generic per-word costs.
 ///
+/// `mode` picks the execution tier (see DESIGN.md §13).
+///
 /// # Examples
 ///
 /// ```no_run
 /// use ap_apps::primitives::run_script_primitives;
+/// use ap_apps::ExecMode;
 /// use ap_workloads::array_ops::Script;
 /// use radram::RadramConfig;
 ///
 /// let script = Script::generate(1, 10_000, 8);
-/// let r = run_script_primitives(&script, &RadramConfig::reference());
+/// let r = run_script_primitives(&script, &RadramConfig::reference(), ExecMode::Accurate);
 /// assert_eq!(r.stats.rebinds, 0);
 /// ```
-pub fn run_script_primitives(script: &Script, cfg: &RadramConfig) -> RunReport {
-    run_script_primitives_mode(script, cfg, ExecMode::Accurate)
-}
-
-/// [`run_script_primitives`] on the execution tier `mode` selects (see
-/// DESIGN.md §13).
-pub fn run_script_primitives_mode(
-    script: &Script,
-    cfg: &RadramConfig,
-    mode: ExecMode,
-) -> RunReport {
+pub fn run_script_primitives(script: &Script, cfg: &RadramConfig, mode: ExecMode) -> RunReport {
     let max_len = script.initial_len + script.ops.len() + 1;
     let alloc_pages = max_len.div_ceil(ELEMS_PER_PAGE) + 1;
     let mut cfg = cfg.clone();
@@ -310,8 +303,8 @@ mod tests {
     fn primitive_backend_matches_reference() {
         let script = Script::generate(11, 3000, 18);
         let cfg = RadramConfig::reference();
-        let conv = run_script(&script, SystemKind::Conventional, &cfg);
-        let prim = run_script_primitives(&script, &cfg);
+        let conv = run_script(&script, SystemKind::Conventional, &cfg, ExecMode::Accurate);
+        let prim = run_script_primitives(&script, &cfg, ExecMode::Accurate);
         assert_eq!(conv.checksum, prim.checksum);
         assert_eq!(prim.stats.rebinds, 0, "one binding must serve the whole script");
     }
@@ -320,8 +313,8 @@ mod tests {
     fn primitive_backend_matches_custom_circuits() {
         let script = Script::generate(12, 200_000, 12);
         let cfg = RadramConfig::reference();
-        let custom = run_script(&script, SystemKind::Radram, &cfg);
-        let prim = run_script_primitives(&script, &cfg);
+        let custom = run_script(&script, SystemKind::Radram, &cfg, ExecMode::Accurate);
+        let prim = run_script_primitives(&script, &cfg, ExecMode::Accurate);
         assert_eq!(custom.checksum, prim.checksum);
         // The generic datapath does the same work more slowly per word...
         assert!(prim.stats.logic_busy_cycles > custom.stats.logic_busy_cycles);

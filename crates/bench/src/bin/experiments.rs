@@ -68,7 +68,7 @@ fn main() {
         println!();
     }
     if cli.wants("fig1") {
-        render::print_fig1(&experiments::fig1());
+        render::print_fig1(&experiments::fig1(&runner));
         println!();
     }
     if cli.wants("fig3") || cli.wants("fig4") {
@@ -115,7 +115,7 @@ fn main() {
         println!();
     }
     if cli.wants("dse") {
-        let run = ap_bench::dse::run(&runner, quick, cli.mode);
+        let run = ap_bench::dse::run(ap_bench::dse::on_runner(&runner), quick, cli.mode);
         let r = &run.report;
         println!("Design-space sweep ({}, {} mode)", r.grid, r.mode);
         print!("{}", r.table());
@@ -176,7 +176,7 @@ fn main() {
         render::print_table4(&rows);
         report_written(write_result_file("table4.csv", &render::table4_csv(&rows)));
         println!();
-        let c = experiments::amdahl_check(8.0);
+        let c = experiments::amdahl_check(&runner, 8.0);
         println!("Amdahl whole-application check (median, 8 pages):");
         println!(
             "  partitioned fraction {:.3}, kernel speedup {:.2}x -> predicted overall {:.2}x, \
@@ -186,19 +186,12 @@ fn main() {
         println!();
     }
     if cli.wants("database-xl") {
-        use ap_apps::{database::xl, App, SystemKind};
-        use ap_bench::runner::RunSpec;
+        use ap_apps::{database::xl, App};
         let (mode, _) = cli.mode_or(ap_bench::ExecMode::Accurate);
         let pages = if quick { 64.0 } else { 2048.0 };
         let cfg = radram::RadramConfig::reference();
-        let specs = vec![
-            RunSpec::new(App::DatabaseXl, SystemKind::Conventional, pages, cfg.clone())
-                .with_mode(mode),
-            RunSpec::new(App::DatabaseXl, SystemKind::Radram, pages, cfg).with_mode(mode),
-        ];
-        let mut results = runner.run(specs).into_iter();
-        let conv = results.next().unwrap().expect("conventional database-xl run failed");
-        let rad = results.next().unwrap().expect("radram database-xl run failed");
+        let p = ap_bench::sweep::run_pair(&runner, App::DatabaseXl, pages, &cfg, mode);
+        let (conv, rad) = (&p.conventional, &p.radram);
         println!(
             "database-xl ({mode} tier): {} pages, {} records resident",
             conv.pages,
@@ -209,9 +202,17 @@ fn main() {
              activations {}",
             conv.kernel_cycles,
             rad.kernel_cycles,
-            ap_apps::speedup(&conv, &rad),
+            p.speedup(),
             rad.stats.activations
         );
+        println!();
+    }
+    if cli.wants("ablations") {
+        ap_bench::studies::print_ablations(&runner, quick);
+        println!();
+    }
+    if cli.wants("pipeline") {
+        ap_bench::studies::print_pipeline(quick);
         println!();
     }
 

@@ -7,28 +7,31 @@ use crate::runner::{env_engine, Runner};
 use ap_apps::ExecMode;
 use std::path::PathBuf;
 
-/// Every experiment target the binary accepts, with the one-line
-/// description the usage text is generated from. Single source of truth:
-/// adding a row here is all it takes to document a new target.
-pub const TARGETS: &[(&str, &str)] = &[
-    ("all", "every paper table and figure below (the default)"),
-    ("table1", "reference system parameters"),
-    ("table2", "application working sets and activation counts"),
-    ("table3", "partitioned-algorithm statistics"),
-    ("table4", "activation time T_A per application"),
-    ("fig1", "conventional vs RADram memory organization counters"),
-    ("fig3", "speedup vs problem size, all nine kernels"),
-    ("fig4", "processor/memory overlap breakdown"),
-    ("fig5", "L1 data-cache size sensitivity"),
-    ("fig8", "DRAM miss-latency sensitivity"),
-    ("fig9", "reconfigurable-logic clock sensitivity"),
-    ("dse", "design-space sweep with Pareto-front search (BENCH_dse.json)"),
-    ("database-xl", "million-record sharded database point (explicit only)"),
+/// Every experiment target the binary accepts: its name, the one-line
+/// description the usage text is generated from, and whether it runs only
+/// when named (`true`) rather than also under `all`. Single source of
+/// truth: adding a row here is all it takes to document a new target.
+pub const TARGETS: &[(&str, &str, bool)] = &[
+    ("all", "every paper table and figure below (the default)", false),
+    ("table1", "reference system parameters", false),
+    ("table2", "partitioning of each application between processor and pages", false),
+    ("table3", "synthesized circuits (LEs, speed, configuration size)", false),
+    ("table4", "T_A/T_P/T_C per application and the model correlation", false),
+    ("fig1", "idealized scaling-region curve (sub-page, scalable, saturated)", false),
+    ("fig3", "speedup vs problem size, all nine kernels", false),
+    ("fig4", "processor/memory overlap breakdown", false),
+    ("fig5", "L1 data-cache size sensitivity", false),
+    ("fig8", "DRAM miss-latency sensitivity", false),
+    ("fig9", "reconfigurable-logic clock sensitivity", false),
+    ("dse", "design-space sweep with Pareto-front search (BENCH_dse.json)", true),
+    ("database-xl", "million-record sharded database point", true),
+    ("ablations", "Section 3/10 design-choice ablations 1-6", true),
+    ("pipeline", "full MPEG decode pipeline vs an all-processor decoder", true),
 ];
 
 /// The registered target names, in table order.
 pub fn target_names() -> Vec<&'static str> {
-    TARGETS.iter().map(|(name, _)| *name).collect()
+    TARGETS.iter().map(|(name, ..)| *name).collect()
 }
 
 /// The `--mode` choices: one execution tier, or both with a cross-check.
@@ -90,8 +93,12 @@ pub struct Cli {
 /// The usage text. The target list is generated from [`TARGETS`], so the
 /// help can never drift from what the parser accepts.
 pub fn usage() -> String {
-    let targets: String =
-        TARGETS.iter().map(|(name, desc)| format!("  {name:<12} {desc}\n")).collect();
+    let targets: String = TARGETS
+        .iter()
+        .map(|(name, desc, explicit)| {
+            format!("  {name:<12} {desc}{}\n", if *explicit { " (explicit only)" } else { "" })
+        })
+        .collect();
     format!(
         "usage: experiments [TARGET] [--jobs N] [--no-cache] [--manifest PATH]\n\
          \x20                  [--trace[=DIR]] [--trace-filter LIST] [--quick]\n\
@@ -242,14 +249,13 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String>
 }
 
 impl Cli {
-    /// True when `name` (or `all`) was requested. The `dse` sweep and the
-    /// `database-xl` scaling point are explicit only — `all` reproduces the
-    /// paper's figures, not the extension sweeps.
+    /// True when `name` was requested, or `all` was and `name` is not
+    /// marked explicit-only in [`TARGETS`] — `all` reproduces the paper's
+    /// tables and figures, not the extension studies.
     pub fn wants(&self, name: &str) -> bool {
-        if name == "dse" || name == "database-xl" {
-            return self.target == name;
-        }
-        self.target == "all" || self.target == name
+        self.target == name
+            || (self.target == "all"
+                && TARGETS.iter().any(|&(target, _, explicit)| target == name && !explicit))
     }
 
     /// True when this invocation should shrink sweeps to CI size: `--quick`
@@ -395,6 +401,20 @@ mod tests {
     }
 
     #[test]
+    fn studies_are_explicit_but_not_part_of_all() {
+        let all = parse(&[]).unwrap();
+        for name in ["ablations", "pipeline"] {
+            let cli = parse(&[name]).unwrap();
+            assert!(cli.wants(name) && !cli.wants("fig3"));
+            assert!(!all.wants(name), "`all` must not run the {name} study");
+        }
+        // `all` still wants every paper table and figure.
+        for (name, _, explicit) in &TARGETS[1..] {
+            assert_eq!(all.wants(name), !explicit, "{name}");
+        }
+    }
+
+    #[test]
     fn pages_and_threads_overrides_parse_and_validate() {
         let cli = parse(&["--bench-wallclock", "--pages", "4096", "--threads=8"]).unwrap();
         assert_eq!(cli.pages, Some(4096));
@@ -422,9 +442,11 @@ mod tests {
     #[test]
     fn usage_lists_every_target_with_its_description() {
         let text = usage();
-        for (name, desc) in TARGETS {
+        for (name, desc, explicit) in TARGETS {
             assert!(text.contains(name), "usage must list {name}");
             assert!(text.contains(desc), "usage must describe {name}");
+            let marked = text.contains(&format!("{desc} (explicit only)"));
+            assert_eq!(marked, *explicit, "usage must mark {name} explicit-only iff it is");
         }
     }
 

@@ -1,5 +1,7 @@
-//! Drives the `ap-dse` design-space sweep through the engine-backed
-//! [`Runner`] (the `experiments dse` target; DESIGN.md §15).
+//! Drives the `ap-dse` design-space sweep (DESIGN.md §15). [`run`] is the
+//! one pipeline; its clients differ only in the tier executor they pass:
+//! `experiments dse` runs each tier on the engine-backed [`Runner`]
+//! ([`on_runner`]), `apctl dse` submits it to an `apd` daemon.
 //!
 //! The default pipeline is two-tier: the whole grid is triaged on the fast
 //! tier, the successive-halving refiner keeps the Pareto front plus its
@@ -13,7 +15,7 @@
 use crate::cli::ModeChoice;
 use crate::fastmode::{check_pair, CYCLE_ERROR_ENVELOPE};
 use crate::runner::{RunSpec, Runner};
-use ap_apps::ExecMode;
+use ap_apps::{ExecMode, RunReport};
 use ap_dse::collect::{pareto_points, Collector, ConfigPoint};
 use ap_dse::grid::{expand, DseConfig, DseSpec, Grid};
 use ap_dse::pareto::{front, successive_halving, OBJECTIVES};
@@ -45,26 +47,36 @@ impl DseRun {
     }
 }
 
-fn to_run_spec(s: &DseSpec) -> RunSpec {
-    RunSpec::new(s.app, s.kind, s.pages, s.cfg.clone()).with_mode(s.mode)
+/// The tier executor for in-process sweeps: every spec becomes a
+/// [`RunSpec`] on `runner`, so it is cached, keyed and manifested like any
+/// other harness job.
+pub fn on_runner(
+    runner: &Runner,
+) -> impl FnMut(&[DseConfig], &[DseSpec]) -> Vec<(Option<RunReport>, bool)> + '_ {
+    |_, specs| {
+        let specs = specs
+            .iter()
+            .map(|s| RunSpec::new(s.app, s.kind, s.pages, s.cfg.clone()).with_mode(s.mode))
+            .collect();
+        runner.run_outcomes(specs).into_iter().map(|o| (o.result.ok(), o.cache_hit)).collect()
+    }
 }
 
-/// Submits one tier of `configs` to the engine and folds the outcomes,
+/// Runs one tier of `configs` through `exec` and folds the outcomes,
 /// updating the cache-hit / job counters.
 fn sweep_tier(
-    runner: &Runner,
+    exec: &mut impl FnMut(&[DseConfig], &[DseSpec]) -> Vec<(Option<RunReport>, bool)>,
     configs: &[DseConfig],
     mode: ExecMode,
     cache_hits: &mut usize,
     total_jobs: &mut usize,
 ) -> (Vec<(usize, ConfigPoint)>, usize) {
-    let specs = expand(configs, mode);
-    let outcomes = runner.run_outcomes(specs.iter().map(to_run_spec).collect());
-    *cache_hits += outcomes.iter().filter(|o| o.cache_hit).count();
-    *total_jobs += outcomes.len();
+    let results = exec(configs, &expand(configs, mode));
+    *cache_hits += results.iter().filter(|(_, hit)| *hit).count();
+    *total_jobs += results.len();
     let mut collector = Collector::new(configs.to_vec());
-    for (i, o) in outcomes.into_iter().enumerate() {
-        collector.push(i, o.result.ok());
+    for (i, (report, _)) in results.into_iter().enumerate() {
+        collector.push(i, report);
     }
     collector.finish()
 }
@@ -84,11 +96,19 @@ fn front_row(config_id: usize, point: &ConfigPoint, tier: &'static str) -> Front
 /// or `--mode both` runs the full triage-and-promote pipeline, `--mode
 /// fast` / `--mode accurate` sweep one tier and skip promotion.
 ///
+/// `exec` runs one tier: given the tier's configs and their expansion
+/// (each spec's `config_index` points into the configs), it returns one
+/// `(report, cache_hit)` per spec, in order, with `None` for a failed run.
+///
 /// # Panics
 ///
 /// Panics if a promoted point's checksum differs between tiers (the fast
 /// tier may approximate time, never answers).
-pub fn run(runner: &Runner, quick: bool, mode: Option<ModeChoice>) -> DseRun {
+pub fn run(
+    mut exec: impl FnMut(&[DseConfig], &[DseSpec]) -> Vec<(Option<RunReport>, bool)>,
+    quick: bool,
+    mode: Option<ModeChoice>,
+) -> DseRun {
     let start = std::time::Instant::now();
     let grid = Grid::for_quick(quick);
     let configs = grid.configs();
@@ -100,7 +120,7 @@ pub fn run(runner: &Runner, quick: bool, mode: Option<ModeChoice>) -> DseRun {
 
     let (mut cache_hits, mut total_jobs) = (0, 0);
     let (points, mut incomplete) =
-        sweep_tier(runner, &configs, triage_mode, &mut cache_hits, &mut total_jobs);
+        sweep_tier(&mut exec, &configs, triage_mode, &mut cache_hits, &mut total_jobs);
     let pareto = pareto_points(&points);
     let triage_front = front(&pareto, &OBJECTIVES);
     let dominated = points.len() - triage_front.len();
@@ -111,7 +131,7 @@ pub fn run(runner: &Runner, quick: bool, mode: Option<ModeChoice>) -> DseRun {
         let promoted_cfgs: Vec<DseConfig> =
             halving.survivors.iter().map(|&pos| points[pos].1.config.clone()).collect();
         let (acc_points, acc_incomplete) = sweep_tier(
-            runner,
+            &mut exec,
             &promoted_cfgs,
             ExecMode::Accurate,
             &mut cache_hits,
@@ -185,7 +205,8 @@ mod tests {
     /// submit/collect/front path.
     #[test]
     fn fast_tier_sweep_produces_a_front() {
-        let run = run(&test_runner(), true, Some(ModeChoice::One(ExecMode::Fast)));
+        let runner = test_runner();
+        let run = run(on_runner(&runner), true, Some(ModeChoice::One(ExecMode::Fast)));
         let r = &run.report;
         assert_eq!(r.mode, "fast");
         assert_eq!(r.triage_points, Grid::quick().config_count());

@@ -1,7 +1,7 @@
 //! Generators for every table and figure of the evaluation.
 
 use crate::runner::{RunSpec, Runner};
-use crate::sweep::{run_sweeps, SweepPoint};
+use crate::sweep::{run_pair, run_sweeps, SweepPoint};
 use ap_analytic::{calibrate, pearson, Calibration, Fig1Point};
 use ap_apps::{speedup, App, ExecMode, SystemKind};
 use ap_synth::report::Table3Row;
@@ -13,12 +13,10 @@ pub const SENSITIVITY_PAGES: f64 = 8.0;
 
 /// Figure 1: the idealized scaling-region curve, derived from the database
 /// kernel's calibrated constants.
-pub fn fig1() -> Vec<Fig1Point> {
-    let cfg = RadramConfig::reference();
-    let rad = App::Database.run(SystemKind::Radram, 4.0, &cfg);
-    let conv = App::Database.run(SystemKind::Conventional, 4.0, &cfg);
-    let cal = calibrate(&rad);
-    let conv_per_page = conv.kernel_cycles as f64 / 4.0;
+pub fn fig1(runner: &Runner) -> Vec<Fig1Point> {
+    let p = run_pair(runner, App::Database, 4.0, &RadramConfig::reference(), ExecMode::Accurate);
+    let cal = calibrate(&p.radram);
+    let conv_per_page = p.conventional.kernel_cycles as f64 / 4.0;
     let sizes = [1, 2, 4, 8, 16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1 << 20];
     ap_analytic::fig1_series(&cal.model(), conv_per_page, &sizes)
 }
@@ -285,12 +283,11 @@ pub struct AmdahlCheck {
 }
 
 /// Measures the Amdahl bound at `pages` problem size.
-pub fn amdahl_check(pages: f64) -> AmdahlCheck {
-    let cfg = RadramConfig::reference();
-    let conv = App::Median.run(SystemKind::Conventional, pages, &cfg);
-    let rad = App::Median.run(SystemKind::Radram, pages, &cfg);
+pub fn amdahl_check(runner: &Runner, pages: f64) -> AmdahlCheck {
+    let p = run_pair(runner, App::Median, pages, &RadramConfig::reference(), ExecMode::Accurate);
+    let (conv, rad) = (&p.conventional, &p.radram);
     let fraction = conv.kernel_cycles as f64 / conv.total_cycles as f64;
-    let kernel_speedup = ap_apps::speedup(&conv, &rad);
+    let kernel_speedup = p.speedup();
     AmdahlCheck {
         fraction_partitioned: fraction,
         kernel_speedup,
@@ -310,9 +307,13 @@ mod tests {
         assert_eq!(t[5].1, "50 ns");
     }
 
+    fn test_runner() -> Runner {
+        Runner::with_engine(ap_engine::Engine::new().with_workers(2).without_cache())
+    }
+
     #[test]
     fn amdahl_formula_predicts_whole_application_speedup() {
-        let c = amdahl_check(4.0);
+        let c = amdahl_check(&test_runner(), 4.0);
         assert!(c.fraction_partitioned > 0.5 && c.fraction_partitioned < 1.0);
         assert!(c.kernel_speedup > c.measured_overall, "the un-partitioned phase must drag");
         let err = (c.predicted_overall - c.measured_overall).abs() / c.measured_overall;
@@ -321,7 +322,7 @@ mod tests {
 
     #[test]
     fn fig1_has_all_three_regions() {
-        let pts = fig1();
+        let pts = fig1(&test_runner());
         let regions: Vec<&str> = pts.iter().map(|p| p.region).collect();
         assert!(regions.contains(&"sub-page"));
         assert!(regions.contains(&"scalable"));

@@ -2,9 +2,10 @@
 //!
 //! One function per table and figure of the paper's evaluation, each
 //! returning structured data and rendered through [`render`] as the aligned
-//! rows/series the paper reports. The `experiments` binary runs one of
-//! them (`experiments <target>`) or all of them (`experiments all`) and
-//! writes CSV files under `results/`.
+//! rows/series the paper reports, plus the extension studies ([`studies`])
+//! and the design-space sweep ([`dse`]). The `experiments` binary runs one
+//! of them (`experiments <target>`) or every table and figure
+//! (`experiments all`) and writes CSV files under `results/`.
 //!
 //! Simulation points are executed through [`runner::Runner`], which batches
 //! them onto the `ap-engine` worker pool: sweeps run in parallel, a
@@ -37,6 +38,7 @@ pub mod hostbench;
 pub mod lint_corpus;
 pub mod render;
 pub mod runner;
+pub mod studies;
 pub mod sweep;
 
 pub use ap_apps::ExecMode;

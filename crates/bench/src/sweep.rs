@@ -56,20 +56,28 @@ pub fn size_grid(app: App, quick: bool) -> Vec<f64> {
     sizes
 }
 
-/// Runs `app` on both systems at one size, directly on this thread (tests
-/// and one-off probes; the figures go through [`run_sweep`]).
-pub fn run_point(app: App, pages: f64, cfg: &RadramConfig) -> SweepPoint {
-    let conventional = app.run(SystemKind::Conventional, pages, cfg);
-    let radram = app.run(SystemKind::Radram, pages, cfg);
-    SweepPoint { pages, conventional, radram }
-}
-
-/// Runs the full size sweep for `app` through the engine.
-pub fn run_sweep(runner: &Runner, app: App, cfg: &RadramConfig, quick: bool) -> Vec<SweepPoint> {
-    run_sweeps(runner, &[app], cfg, quick, ExecMode::Accurate)
-        .pop()
-        .map(|(_, points)| points)
-        .unwrap_or_default()
+/// Runs `app` on both systems at one size as one engine batch on `runner`
+/// (the single points: Figure 1's calibration, the Amdahl check, the
+/// studies and `database-xl`).
+///
+/// # Panics
+///
+/// Panics if either run failed: a single point has no figure to degrade to.
+pub fn run_pair(
+    runner: &Runner,
+    app: App,
+    pages: f64,
+    cfg: &RadramConfig,
+    mode: ExecMode,
+) -> SweepPoint {
+    let specs = [SystemKind::Conventional, SystemKind::Radram]
+        .map(|kind| RunSpec::new(app, kind, pages, cfg.clone()).with_mode(mode));
+    let mut reports = runner
+        .run(specs.to_vec())
+        .into_iter()
+        .map(|r| r.unwrap_or_else(|e| panic!("{} at {pages} pages failed: {e}", app.name())));
+    let conventional = reports.next().expect("result per spec");
+    SweepPoint { pages, conventional, radram: reports.next().expect("result per spec") }
 }
 
 /// The exact [`RunSpec`] batch behind the Figure 3/4 sweeps for `apps`:
@@ -159,7 +167,8 @@ mod tests {
     #[test]
     fn point_speedup_consistent() {
         let cfg = RadramConfig::reference();
-        let p = run_point(App::Database, 0.05, &cfg);
+        let runner = Runner::with_engine(ap_engine::Engine::new().with_workers(2).without_cache());
+        let p = run_pair(&runner, App::Database, 0.05, &cfg, ExecMode::Accurate);
         let s = p.speedup();
         assert!(s > 0.0);
         assert!(p.non_overlap_percent() >= 0.0 && p.non_overlap_percent() <= 100.0);

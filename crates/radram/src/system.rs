@@ -170,21 +170,10 @@ pub struct System {
 }
 
 impl System {
-    /// Creates a system with a conventional memory system (the baseline in
-    /// every experiment) and the reference configuration.
-    pub fn conventional() -> Self {
-        Self::conventional_with(RadramConfig::reference())
-    }
-
-    /// Creates a conventional-memory system with custom parameters (cache
-    /// sizes, DRAM latency); Active-Page calls panic on this system.
-    pub fn conventional_with(cfg: RadramConfig) -> Self {
-        Self::conventional_mode(cfg, ExecMode::Accurate)
-    }
-
-    /// Creates a conventional-memory system on the execution tier `mode`
-    /// selects (see [`ExecMode`]; fast estimates cycles instead of modeling
-    /// every access).
+    /// Creates a conventional-memory system (the baseline in every
+    /// experiment) on the execution tier `mode` selects (see [`ExecMode`];
+    /// fast estimates cycles instead of modeling every access). Active-Page
+    /// calls panic on this system.
     pub fn conventional_mode(cfg: RadramConfig, mode: ExecMode) -> Self {
         System {
             cpu: Cpu::with_mode(cfg.cpu.clone(), cfg.ram_capacity, mode),
@@ -1472,15 +1461,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "conventional")]
     fn conventional_rejects_ap_alloc() {
-        let mut sys =
-            System::conventional_with(RadramConfig::reference().with_ram_capacity(4 << 20));
+        let cfg = RadramConfig::reference().with_ram_capacity(4 << 20);
+        let mut sys = System::conventional_mode(cfg, ExecMode::Accurate);
         sys.ap_alloc_pages(GroupId::new(0), 1);
     }
 
     #[test]
     fn conventional_loads_are_plain() {
-        let mut sys =
-            System::conventional_with(RadramConfig::reference().with_ram_capacity(4 << 20));
+        let cfg = RadramConfig::reference().with_ram_capacity(4 << 20);
+        let mut sys = System::conventional_mode(cfg, ExecMode::Accurate);
         let a = sys.ram_alloc(64, 64);
         sys.store_u32(a, 9);
         assert_eq!(sys.load_u32(a), 9);

@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --release --example bio_sequence`
 
-use ap_apps::{lcs, speedup, SystemKind};
+use ap_apps::{speedup, App, SystemKind};
 use ap_workloads::dna::SequencePair;
 use radram::RadramConfig;
 
@@ -22,8 +22,8 @@ fn main() {
     println!();
 
     println!("running the full benchmark at {pages} pages of DP table...");
-    let conv = lcs::run(SystemKind::Conventional, pages, &cfg);
-    let rad = lcs::run(SystemKind::Radram, pages, &cfg);
+    let conv = App::DynProg.run(SystemKind::Conventional, pages, &cfg);
+    let rad = App::DynProg.run(SystemKind::Radram, pages, &cfg);
     assert_eq!(conv.checksum, rad.checksum, "alignments must match");
 
     println!("conventional : {:>12} cycles", conv.kernel_cycles);

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example image_denoise`
 
-use ap_apps::{median, speedup, SystemKind};
+use ap_apps::{speedup, App, SystemKind};
 use radram::RadramConfig;
 
 fn main() {
@@ -12,8 +12,8 @@ fn main() {
     let pages = 4.0; // a 512x1000 16-bit image
 
     println!("3x3 median filter, {pages} Active Pages of image rows");
-    let conv = median::run(SystemKind::Conventional, pages, &cfg);
-    let rad = median::run(SystemKind::Radram, pages, &cfg);
+    let conv = App::Median.run(SystemKind::Conventional, pages, &cfg);
+    let rad = App::Median.run(SystemKind::Radram, pages, &cfg);
 
     assert_eq!(conv.checksum, rad.checksum, "the two systems must agree pixel-for-pixel");
 

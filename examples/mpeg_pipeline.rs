@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example mpeg_pipeline`
 
-use ap_apps::{mpeg_decode, speedup, SystemKind};
+use ap_apps::{mpeg_decode, speedup, ExecMode, SystemKind};
 use ap_workloads::mpeg::CodedFrame;
 use radram::RadramConfig;
 
@@ -22,8 +22,8 @@ fn main() {
 
     let cfg = RadramConfig::reference();
     for pages in [2.0, 8.0, 16.0] {
-        let c = mpeg_decode::run(SystemKind::Conventional, pages, &cfg);
-        let r = mpeg_decode::run(SystemKind::Radram, pages, &cfg);
+        let c = mpeg_decode::run(SystemKind::Conventional, pages, &cfg, ExecMode::Accurate);
+        let r = mpeg_decode::run(SystemKind::Radram, pages, &cfg, ExecMode::Accurate);
         assert_eq!(c.checksum, r.checksum, "decoded frames must match bit-for-bit");
         println!(
             "{pages:>5} pages: conventional {:>10} cycles, RADram {:>10} cycles -> {:.2}x",

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example sparse_solver`
 
-use ap_apps::{matrix, speedup, SystemKind};
+use ap_apps::{matrix, speedup, ExecMode, SystemKind};
 use ap_workloads::sparse::{row_fill_cv, SparseMatrix};
 use radram::RadramConfig;
 
@@ -19,8 +19,8 @@ fn main() {
     println!();
 
     for variant in [matrix::MatrixVariant::Simplex, matrix::MatrixVariant::Boeing] {
-        let conv = matrix::run(variant, SystemKind::Conventional, 8.0, &cfg);
-        let rad = matrix::run(variant, SystemKind::Radram, 8.0, &cfg);
+        let conv = matrix::run(variant, SystemKind::Conventional, 8.0, &cfg, ExecMode::Accurate);
+        let rad = matrix::run(variant, SystemKind::Radram, 8.0, &cfg, ExecMode::Accurate);
         assert_eq!(conv.checksum, rad.checksum, "dot products must be bit-identical");
         println!(
             "{:<15} speedup {:.2}x  (conv {} cycles, RADram {} cycles, stall {:.1}%)",

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example stl_array`
 
 use ap_apps::array::run_script;
-use ap_apps::{speedup, SystemKind};
+use ap_apps::{speedup, ExecMode, SystemKind};
 use ap_workloads::array_ops::Script;
 use radram::RadramConfig;
 
@@ -19,8 +19,8 @@ fn main() {
         script.initial_len as f64 / ap_apps::array::ELEMS_PER_PAGE as f64
     );
 
-    let conv = run_script(&script, SystemKind::Conventional, &cfg);
-    let rad = run_script(&script, SystemKind::Radram, &cfg);
+    let conv = run_script(&script, SystemKind::Conventional, &cfg, ExecMode::Accurate);
+    let rad = run_script(&script, SystemKind::Radram, &cfg, ExecMode::Accurate);
     assert_eq!(conv.checksum, rad.checksum, "array contents must match");
 
     println!("conventional : {:>12} cycles", conv.kernel_cycles);

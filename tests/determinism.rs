@@ -2,7 +2,7 @@
 //! identical cycle counts, statistics and results — the property that makes
 //! every number in EXPERIMENTS.md reproducible bit-for-bit.
 
-use ap_apps::{App, SystemKind};
+use ap_apps::{App, ExecMode, SystemKind};
 use radram::RadramConfig;
 
 #[test]
@@ -100,14 +100,14 @@ fn workload_generators_are_seed_stable() {
 #[test]
 fn extension_pipelines_are_deterministic() {
     let cfg = RadramConfig::reference();
-    let a = ap_apps::mpeg_decode::run(SystemKind::Radram, 0.5, &cfg);
-    let b = ap_apps::mpeg_decode::run(SystemKind::Radram, 0.5, &cfg);
+    let a = ap_apps::mpeg_decode::run(SystemKind::Radram, 0.5, &cfg, ExecMode::Accurate);
+    let b = ap_apps::mpeg_decode::run(SystemKind::Radram, 0.5, &cfg, ExecMode::Accurate);
     assert_eq!(a.kernel_cycles, b.kernel_cycles);
     assert_eq!(a.checksum, b.checksum);
 
     let script = ap_workloads::array_ops::Script::generate(3, 10_000, 10);
-    let p1 = ap_apps::primitives::run_script_primitives(&script, &cfg);
-    let p2 = ap_apps::primitives::run_script_primitives(&script, &cfg);
+    let p1 = ap_apps::primitives::run_script_primitives(&script, &cfg, ExecMode::Accurate);
+    let p2 = ap_apps::primitives::run_script_primitives(&script, &cfg, ExecMode::Accurate);
     assert_eq!(p1.kernel_cycles, p2.kernel_cycles);
     assert_eq!(p1.checksum, p2.checksum);
 }

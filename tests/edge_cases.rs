@@ -3,7 +3,7 @@
 
 use active_pages::{sync, ActivePageMemory, GroupId, PAGE_SIZE};
 use ap_apps::array::{run_script, ELEMS_PER_PAGE};
-use ap_apps::{speedup, App, SystemKind};
+use ap_apps::{speedup, App, ExecMode, SystemKind};
 use ap_workloads::array_ops::{ArrayOp, Script};
 use radram::{RadramConfig, System};
 
@@ -24,8 +24,8 @@ fn array_insert_at_index_zero_and_end() {
             ArrayOp::Count { value: 222 },
         ],
     };
-    let c = run_script(&script, SystemKind::Conventional, &cfg());
-    let r = run_script(&script, SystemKind::Radram, &cfg());
+    let c = run_script(&script, SystemKind::Conventional, &cfg(), ExecMode::Accurate);
+    let r = run_script(&script, SystemKind::Radram, &cfg(), ExecMode::Accurate);
     assert_eq!(c.checksum, r.checksum);
 }
 
@@ -40,8 +40,8 @@ fn array_delete_first_and_last() {
             ArrayOp::Count { value: 7 },
         ],
     };
-    let c = run_script(&script, SystemKind::Conventional, &cfg());
-    let r = run_script(&script, SystemKind::Radram, &cfg());
+    let c = run_script(&script, SystemKind::Conventional, &cfg(), ExecMode::Accurate);
+    let r = run_script(&script, SystemKind::Radram, &cfg(), ExecMode::Accurate);
     assert_eq!(c.checksum, r.checksum);
 }
 
@@ -56,8 +56,8 @@ fn array_insert_exactly_at_page_boundary() {
             ArrayOp::Count { value: 999 },
         ],
     };
-    let c = run_script(&script, SystemKind::Conventional, &cfg());
-    let r = run_script(&script, SystemKind::Radram, &cfg());
+    let c = run_script(&script, SystemKind::Conventional, &cfg(), ExecMode::Accurate);
+    let r = run_script(&script, SystemKind::Radram, &cfg(), ExecMode::Accurate);
     assert_eq!(c.checksum, r.checksum);
 }
 
@@ -68,8 +68,8 @@ fn array_insert_spills_into_a_fresh_page() {
         initial_len: ELEMS_PER_PAGE,
         ops: vec![ArrayOp::Insert { index: 3, value: 42 }, ArrayOp::Count { value: 42 }],
     };
-    let c = run_script(&script, SystemKind::Conventional, &cfg());
-    let r = run_script(&script, SystemKind::Radram, &cfg());
+    let c = run_script(&script, SystemKind::Conventional, &cfg(), ExecMode::Accurate);
+    let r = run_script(&script, SystemKind::Radram, &cfg(), ExecMode::Accurate);
     assert_eq!(c.checksum, r.checksum);
 }
 

@@ -2,7 +2,7 @@
 //! results on both memory systems, and the partitions behave the way the
 //! paper reports.
 
-use ap_apps::{speedup, App, SystemKind};
+use ap_apps::{speedup, App, ExecMode, SystemKind};
 use radram::RadramConfig;
 
 fn both(app: App, pages: f64) -> (ap_apps::RunReport, ap_apps::RunReport) {
@@ -81,7 +81,7 @@ fn radram_functions_as_conventional_memory_with_negligible_degradation() {
     // A RADram machine whose pages are never used behaves identically for
     // ordinary loads/stores; compare plain-memory timing between the two
     // System constructors directly.
-    let mut plain = radram::System::conventional_with(cfg.clone());
+    let mut plain = radram::System::conventional_mode(cfg.clone(), ExecMode::Accurate);
     let mut rad = radram::System::radram(cfg);
     let a = plain.ram_alloc(1 << 16, 64);
     let b = rad.ram_alloc(1 << 16, 64);

@@ -1,10 +1,18 @@
 //! Shape tests for the regenerated figures: the qualitative claims of the
 //! paper's evaluation must hold in the reproduction.
 
-use ap_apps::{App, SystemKind};
+use ap_apps::{App, ExecMode, SystemKind};
 use ap_bench::experiments;
-use ap_bench::sweep::run_point;
+use ap_bench::runner::Runner;
+use ap_bench::sweep::{run_pair, SweepPoint};
 use radram::RadramConfig;
+
+/// Both systems at one size, through a cache-less engine: the tests must
+/// measure, not replay.
+fn run_point(app: App, pages: f64, cfg: &RadramConfig) -> SweepPoint {
+    let runner = active_pages::settings::scoped(|s| s.no_cache = true, Runner::from_env);
+    run_pair(&runner, app, pages, cfg, ExecMode::Accurate)
+}
 
 #[test]
 fn figure3_speedup_grows_through_the_scalable_region() {
@@ -112,8 +120,7 @@ fn table3_circuits_fit_and_clock_like_the_paper() {
 #[test]
 fn table4_correlations_echo_the_paper() {
     // Through the engine but cache-less: the test must measure, not replay.
-    let runner =
-        active_pages::settings::scoped(|s| s.no_cache = true, ap_bench::runner::Runner::from_env);
+    let runner = active_pages::settings::scoped(|s| s.no_cache = true, Runner::from_env);
     let rows = experiments::table4(&runner, true);
     assert_eq!(rows.len(), 8, "the paper's Table 4 has eight kernels");
     for r in &rows {
@@ -133,7 +140,8 @@ fn table4_correlations_echo_the_paper() {
 
 #[test]
 fn figure1_regions_from_calibrated_model() {
-    let pts = experiments::fig1();
+    let runner = active_pages::settings::scoped(|s| s.no_cache = true, Runner::from_env);
+    let pts = experiments::fig1(&runner);
     let regions: Vec<&str> = pts.iter().map(|p| p.region).collect();
     assert!(regions.contains(&"sub-page"));
     assert!(regions.contains(&"scalable"));

@@ -2,7 +2,7 @@
 //! the conventional implementation must compute identical results.
 
 use ap_apps::array::run_script;
-use ap_apps::{App, SystemKind};
+use ap_apps::{App, ExecMode, SystemKind};
 use ap_workloads::array_ops::Script;
 use proptest::prelude::*;
 use radram::RadramConfig;
@@ -16,8 +16,8 @@ proptest! {
     fn array_scripts_agree(seed in 0u64..1000, len in 100usize..5000, ops in 1usize..20) {
         let script = Script::generate(seed, len, ops);
         let cfg = RadramConfig::reference();
-        let c = run_script(&script, SystemKind::Conventional, &cfg);
-        let r = run_script(&script, SystemKind::Radram, &cfg);
+        let c = run_script(&script, SystemKind::Conventional, &cfg, ExecMode::Accurate);
+        let r = run_script(&script, SystemKind::Radram, &cfg, ExecMode::Accurate);
         prop_assert_eq!(c.checksum, r.checksum);
         // And the script's own reference results must be reflected: the
         // final length is embedded in both digests, so equality with the
