@@ -8,7 +8,6 @@
 use ap_apd::client::{http_get, Client};
 use ap_apd::proto::{Outcome, WireSpec};
 use ap_apps::{App, ExecMode, SystemKind};
-use ap_bench::cli::ModeChoice;
 use ap_bench::dse;
 use ap_bench::runner::{report_codec, RunSpec};
 use ap_bench::sweep::sweep_specs;
@@ -33,7 +32,7 @@ fn usage() -> String {
          \x20                           given apps, print one line per point\n\
          \x20 dse [--quick]             sweep the design-space grid through\n\
          \x20   [--mode fast|accurate]  the daemon and print its Pareto\n\
-         \x20                           front (default tier: fast)\n\
+         \x20                           front (default tier: accurate)\n\
          \n\
          --addr defaults to 127.0.0.1:7117.\n\
          apps: {}\n\
@@ -214,7 +213,7 @@ fn run_sweep(addr: &str, args: &[String]) {
 
 fn run_dse(addr: &str, args: &[String]) {
     let mut quick = false;
-    let mut mode = ExecMode::Fast;
+    let mut mode = ExecMode::Accurate;
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -229,10 +228,10 @@ fn run_dse(addr: &str, args: &[String]) {
             other => fail(&format!("unknown dse option {other:?}")),
         }
     }
-    // The pipeline a single-tier `experiments dse --mode <tier>` runs, with
-    // each tier sent to the daemon: the wire specs rebuild every config
-    // through the same builders, so the cache keys match the in-process
-    // harness's byte for byte.
+    // The sweep `experiments dse --mode <tier>` runs, with the grid sent to
+    // the daemon: the wire specs rebuild every config through the same
+    // builders, so the cache keys match the in-process harness's byte for
+    // byte.
     println!("dse sweep through {addr}: {}", Grid::for_quick(quick).describe());
     let mut client = connect(addr);
     let run = dse::run(
@@ -240,7 +239,7 @@ fn run_dse(addr: &str, args: &[String]) {
             client.run_dse_tier(configs, specs).unwrap_or_else(|e| fail(&e.to_string()))
         },
         quick,
-        Some(ModeChoice::One(mode)),
+        mode,
     );
     let report = &run.report;
     print!("{}", report.table());

@@ -257,7 +257,7 @@ impl Client {
         Ok(results.into_iter().map(|r| r.expect("all slots filled")).collect())
     }
 
-    /// Runs one tier of a design-space sweep: the executor
+    /// Runs a design-space sweep's grid on one tier: the executor
     /// `ap_bench::dse::run` takes, backed by the daemon. Every spec travels
     /// as [`WireSpec::dse`] of its config; the result is one
     /// `(report, cache_hit)` per spec, in order.

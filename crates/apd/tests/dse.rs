@@ -3,7 +3,6 @@
 
 use ap_apd::{Client, DaemonConfig, Server};
 use ap_apps::ExecMode;
-use ap_bench::cli::ModeChoice;
 use ap_bench::dse;
 use ap_bench::runner::Runner;
 use ap_dse::grid::Grid;
@@ -17,7 +16,7 @@ use ap_engine::Engine;
 fn daemon_dse_hits_every_in_process_key_and_matches_its_front() {
     let dir = std::env::temp_dir().join(format!("apd-test-dse-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mode = Some(ModeChoice::One(ExecMode::Fast));
+    let mode = ExecMode::Fast;
 
     let runner =
         Runner::with_engine(Engine::new().with_workers(2).with_cache_dir(dir.join("cache")));

@@ -115,33 +115,19 @@ fn main() {
         println!();
     }
     if cli.wants("dse") {
-        let run = ap_bench::dse::run(ap_bench::dse::on_runner(&runner), quick, cli.mode);
+        let (mode, _) = cli.mode_or(ap_bench::ExecMode::Accurate);
+        let run = ap_bench::dse::run(ap_bench::dse::on_runner(&runner), quick, mode);
         let r = &run.report;
         println!("Design-space sweep ({}, {} mode)", r.grid, r.mode);
         print!("{}", r.table());
         println!(
-            "sweep: {:.1}s wall, {} jobs ({} cached), rungs {:?}",
-            run.wall_secs, run.total_jobs, run.cache_hits, r.rungs
+            "sweep: {:.1}s wall, {} jobs ({} cached)",
+            run.wall_secs, run.total_jobs, run.cache_hits
         );
-        if r.promoted > 0 {
-            println!(
-                "cross-check: {} promoted points, max cycle error {:.3} (envelope {})",
-                r.promoted,
-                r.max_promoted_error,
-                ap_bench::fastmode::CYCLE_ERROR_ENVELOPE
-            );
-        }
         report_written(write_result_file("BENCH_dse.json", &run.render_json()));
         report_written(write_result_file("BENCH_dse_front.json", &r.front_json()));
         if r.front.is_empty() {
             eprintln!("error: the sweep produced an empty Pareto front");
-            std::process::exit(1);
-        }
-        if r.max_promoted_error > ap_bench::fastmode::CYCLE_ERROR_ENVELOPE {
-            eprintln!(
-                "error: promoted-point cycle error {:.3} exceeds the envelope",
-                r.max_promoted_error
-            );
             std::process::exit(1);
         }
         println!();

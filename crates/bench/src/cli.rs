@@ -39,8 +39,8 @@ pub fn target_names() -> Vec<&'static str> {
 pub enum ModeChoice {
     /// One tier ([`ExecMode::Accurate`] or [`ExecMode::Fast`]).
     One(ExecMode),
-    /// Both tiers; sweep targets cross-check fast against accurate and fail
-    /// on any envelope breach.
+    /// Both tiers; `fig3`/`fig4` cross-check fast against accurate and fail
+    /// on any envelope breach. `dse` rejects it: a sweep runs one tier.
     Both,
 }
 
@@ -77,8 +77,7 @@ pub struct Cli {
     /// (`--bench-wallclock`).
     pub bench_wallclock: bool,
     /// Execution-tier selection (`--mode accurate|fast|both`). `None` keeps
-    /// each target's default: accurate for the figures, the two-tier
-    /// triage-and-promote pipeline for `dse`.
+    /// each target's default, which is accurate.
     pub mode: Option<ModeChoice>,
     /// Page-count override for the batch-scaling bench (`--pages N`,
     /// `--bench-wallclock` only). Validated like `--jobs`: 0 is an error.
@@ -139,10 +138,8 @@ pub fn usage() -> String {
          \x20                     (cycle oracle, default), fast (counted\n\
          \x20                     functional tier), or both (run both tiers,\n\
          \x20                     cross-check answers and cycle error; exits\n\
-         \x20                     non-zero on an envelope breach).\n\
-         \x20                     dse defaults to the two-tier pipeline: fast\n\
-         \x20                     triage, then accurate promotion of the\n\
-         \x20                     Pareto-front survivors\n\
+         \x20                     non-zero on an envelope breach). dse sweeps\n\
+         \x20                     one tier, so it rejects both\n\
          \x20 --quick             shrink sweeps to CI size (same as AP_QUICK=1)\n\
          \n\
          environment: the AP_* variables (AP_QUICK, AP_JOBS, AP_RESULTS_DIR,\n\
@@ -244,6 +241,9 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String>
     }
     if !cli.bench_wallclock && (cli.pages.is_some() || cli.threads.is_some()) {
         return Err("--pages/--threads only apply to --bench-wallclock".into());
+    }
+    if cli.target == "dse" && cli.mode == Some(ModeChoice::Both) {
+        return Err("dse sweeps one tier: --mode accurate or fast, not both".into());
     }
     Ok(cli)
 }
@@ -390,6 +390,14 @@ mod tests {
         assert!(cli.wants("dse") && !cli.wants("fig3"));
         let all = parse(&[]).unwrap();
         assert!(!all.wants("dse"), "`all` must not sweep the DSE grid");
+    }
+
+    #[test]
+    fn dse_rejects_both_tiers() {
+        let err = parse(&["dse", "--mode", "both"]).unwrap_err();
+        assert!(err.contains("one tier"), "{err}");
+        assert!(parse(&["dse", "--mode=accurate"]).is_ok());
+        assert!(parse(&["dse", "--mode", "fast"]).is_ok());
     }
 
     #[test]

@@ -18,9 +18,9 @@ use ap_apps::{App, RunReport, SystemKind};
 
 /// Documented bound on the fast tier's signed relative kernel-cycle error,
 /// per point, against the accurate oracle. The measured maximum over the
-/// full Figure 3/4 sweep (170 runs) is 0.349 (see `BENCH_fastmode.json`); the dominant contributors are
-/// the no-op `invalidate_range` and the unmodelled branch predictor. CI,
-/// `--mode both`, and the `dse` promotion pipeline fail any point outside
+/// full Figure 3/4 sweep (170 runs) is 0.349 (see `BENCH_fastmode.json`);
+/// the dominant contributors are the no-op `invalidate_range` and the
+/// unmodelled branch predictor. CI and `--mode both` fail any point outside
 /// this bound.
 pub const CYCLE_ERROR_ENVELOPE: f64 = 0.40;
 

@@ -59,11 +59,6 @@ impl CpuConfig {
             bpred_entries: 2048,
         }
     }
-
-    /// Reference processor over a custom memory hierarchy.
-    pub fn with_hierarchy(hierarchy: HierarchyConfig) -> Self {
-        CpuConfig { hierarchy, ..Self::reference() }
-    }
 }
 
 impl Default for CpuConfig {

@@ -132,9 +132,9 @@ pub struct Grid {
 impl Grid {
     /// The full exploration grid: every kernel, a sub-page through
     /// multi-page size ladder, 3 × 4 × 2 L1D geometries and four logic
-    /// clocks — 2 592 design points, 5 184 runs per tier. Sized so a
-    /// fast-tier triage of the whole space is a coffee-break sweep, not an
-    /// overnight one.
+    /// clocks — 2 592 design points, 5 184 runs per tier. Sized so an
+    /// exhaustive accurate-tier sweep of the whole space takes well under a
+    /// minute on two cores, not an overnight run.
     pub fn full() -> Grid {
         Grid {
             apps: App::ALL.to_vec(),
@@ -183,13 +183,6 @@ impl Grid {
     /// per design point).
     pub fn run_count(&self) -> usize {
         2 * self.config_count()
-    }
-
-    /// How many survivors the successive-halving refiner promotes to the
-    /// accurate tier: 1/32 of the grid, clamped to [8, 64]. The Pareto
-    /// front itself is always promoted whole, even past this budget.
-    pub fn promote_budget(&self) -> usize {
-        (self.config_count() / 32).clamp(8, 64)
     }
 
     /// Expands the grid in canonical order: app-major, then pages, L1D
@@ -299,7 +292,6 @@ mod tests {
     fn quick_grid_is_ci_sized() {
         let grid = Grid::quick();
         assert!(grid.run_count() <= 128, "got {}", grid.run_count());
-        assert!(grid.promote_budget() >= 8);
     }
 
     #[test]

@@ -12,9 +12,7 @@
 //! * [`collect`] — a streaming [`collect::Collector`] that folds engine
 //!   results into per-config [`collect::ConfigPoint`]s in any arrival
 //!   order;
-//! * [`pareto`] — n-dimensional dominance, non-dominated sorting and a
-//!   successive-halving refiner that triages a cheap (fast-tier) sweep and
-//!   promotes only front-adjacent survivors to the expensive tier;
+//! * [`pareto`] — n-dimensional dominance and the exhaustive Pareto front;
 //! * [`report`] — the schema-versioned `BENCH_dse.json` payload, the
 //!   deterministic `BENCH_dse_front.json` companion, and a human-readable
 //!   front table.

@@ -1,12 +1,11 @@
-//! N-dimensional Pareto dominance, non-dominated sorting, and the
-//! successive-halving refiner.
+//! N-dimensional Pareto dominance and the Pareto front.
 //!
 //! Points live in an objective space described by a slice of [`Objective`]s
-//! (each axis maximized or minimized). The front ([`front`]) and the layer
-//! decomposition ([`layers`]) are **order-invariant**: they depend only on
-//! the set of `(id, objectives)` pairs, never on input order, so a shuffled
-//! sweep produces a byte-identical report. Ties (equal vectors) never
-//! dominate each other, so duplicates survive together.
+//! (each axis maximized or minimized). The front ([`front`]) is
+//! **order-invariant**: it depends only on the set of `(id, objectives)`
+//! pairs, never on input order, so a shuffled sweep produces a
+//! byte-identical report. Ties (equal vectors) never dominate each other,
+//! so duplicates survive together.
 
 /// Direction of one objective axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -92,79 +91,6 @@ pub fn front(points: &[ParetoPoint], axes: &[Objective]) -> Vec<usize> {
     ids
 }
 
-/// Non-dominated sorting: layer 0 is the front, layer `k` is the front of
-/// the points left after removing layers `0..k`. Ids within each layer are
-/// sorted ascending. Implemented with domination counts, so the whole
-/// decomposition is one O(n²) pairwise pass regardless of depth.
-pub fn layers(points: &[ParetoPoint], axes: &[Objective]) -> Vec<Vec<usize>> {
-    let n = points.len();
-    // Sort by id first so positions — and therefore the per-layer output
-    // order — cannot depend on input order.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_unstable_by_key(|&i| points[i].id);
-    let mut dominated_by = vec![0usize; n];
-    let mut dominates_list: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (a_pos, &a) in order.iter().enumerate() {
-        for &b in &order[a_pos + 1..] {
-            if dominates(&points[a], &points[b], axes) {
-                dominates_list[a].push(b);
-                dominated_by[b] += 1;
-            } else if dominates(&points[b], &points[a], axes) {
-                dominates_list[b].push(a);
-                dominated_by[a] += 1;
-            }
-        }
-    }
-    let mut out = Vec::new();
-    let mut current: Vec<usize> = order.iter().copied().filter(|&i| dominated_by[i] == 0).collect();
-    while !current.is_empty() {
-        out.push(current.iter().map(|&i| points[i].id).collect());
-        let mut next = Vec::new();
-        for &i in &current {
-            for &j in &dominates_list[i] {
-                dominated_by[j] -= 1;
-                if dominated_by[j] == 0 {
-                    next.push(j);
-                }
-            }
-        }
-        next.sort_unstable_by_key(|&i| points[i].id);
-        current = next;
-    }
-    out
-}
-
-/// Outcome of one successive-halving triage.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Halving {
-    /// Population at each rung, starting with the full grid and halving
-    /// down to the survivor count.
-    pub rungs: Vec<usize>,
-    /// Ids promoted to the next tier, sorted ascending. Always a superset
-    /// of the triage-tier Pareto front.
-    pub survivors: Vec<usize>,
-}
-
-/// Successive halving over dominance ranks: repeatedly halves the
-/// population, keeping the best half by non-dominated layer (ties within
-/// the cut layer broken by ascending id), until at most
-/// `max(budget, |front|)` points remain. The full layer-0 front always
-/// survives — the refiner exists to drop *dominated* bulk, never a true
-/// front point seen at triage.
-pub fn successive_halving(points: &[ParetoPoint], axes: &[Objective], budget: usize) -> Halving {
-    let ranked = layers(points, axes);
-    let front_len = ranked.first().map_or(0, Vec::len);
-    let keep = budget.max(front_len).min(points.len());
-    let mut rungs = vec![points.len()];
-    while *rungs.last().expect("non-empty") > keep {
-        let next = rungs.last().expect("non-empty").div_ceil(2).max(keep);
-        rungs.push(next);
-    }
-    let mut survivors: Vec<usize> = ranked.into_iter().flatten().take(keep).collect();
-    survivors.sort_unstable();
-    Halving { rungs, survivors }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,39 +121,6 @@ mod tests {
             p(4, 10.0, 100.0, 1000.0), // tie with 0: survives
         ];
         assert_eq!(front(&pts, &OBJECTIVES), vec![0, 1, 2, 4]);
-    }
-
-    #[test]
-    fn layers_decompose_a_chain() {
-        let pts: Vec<ParetoPoint> = (0..5).map(|i| p(i, (5 - i) as f64, 100.0, 1000.0)).collect();
-        let ranked = layers(&pts, &OBJECTIVES);
-        assert_eq!(ranked, vec![vec![0], vec![1], vec![2], vec![3], vec![4]]);
-    }
-
-    #[test]
-    fn halving_keeps_the_front_past_any_budget() {
-        let mut pts =
-            vec![p(0, 10.0, 100.0, 1000.0), p(1, 5.0, 50.0, 1000.0), p(2, 5.0, 100.0, 500.0)];
-        for i in 3..20 {
-            pts.push(p(i, 1.0, 200.0, 2000.0)); // dominated bulk
-        }
-        let h = successive_halving(&pts, &OBJECTIVES, 1);
-        assert_eq!(h.survivors, vec![0, 1, 2], "budget 1 still keeps the whole front");
-        assert_eq!(*h.rungs.first().unwrap(), 20);
-        assert_eq!(*h.rungs.last().unwrap(), 3);
-        assert!(h.rungs.windows(2).all(|w| w[1] >= w[0].div_ceil(2).min(w[0])));
-    }
-
-    #[test]
-    fn halving_budget_admits_front_adjacent_points() {
-        let pts = vec![
-            p(0, 10.0, 100.0, 1000.0), // layer 0
-            p(1, 9.0, 100.0, 1000.0),  // layer 1
-            p(2, 8.0, 100.0, 1000.0),  // layer 2
-            p(3, 7.0, 100.0, 1000.0),  // layer 3
-        ];
-        let h = successive_halving(&pts, &OBJECTIVES, 2);
-        assert_eq!(h.survivors, vec![0, 1]);
     }
 
     #[test]

@@ -58,28 +58,20 @@ impl FrontRow {
 pub struct DseReport {
     /// Whether the quick (CI) grid was swept.
     pub quick: bool,
-    /// Sweep mode: `"both"`, `"fast"` or `"accurate"`.
+    /// Execution tier swept: `"fast"` or `"accurate"`.
     pub mode: &'static str,
     /// One-line grid description (see [`crate::grid::Grid::describe`]).
     pub grid: String,
     /// Design points in the grid.
     pub config_count: usize,
-    /// Simulation runs submitted at the triage tier.
+    /// Simulation runs submitted.
     pub run_count: usize,
-    /// Design points with both system runs complete at triage.
-    pub triage_points: usize,
+    /// Design points with both system runs complete.
+    pub points: usize,
     /// Design points dropped by failed or missing runs.
     pub incomplete: usize,
-    /// Successive-halving rung populations, grid size down to survivors.
-    pub rungs: Vec<usize>,
-    /// Design points promoted to the accurate tier (0 in single-tier
-    /// modes).
-    pub promoted: usize,
-    /// Triage points dominated off the front.
+    /// Complete points dominated off the front.
     pub dominated: usize,
-    /// Largest fast-vs-accurate relative kernel-cycle error over promoted
-    /// points (0 when nothing was promoted).
-    pub max_promoted_error: f64,
     /// The Pareto front, by ascending config id.
     pub front: Vec<FrontRow>,
 }
@@ -104,17 +96,9 @@ impl DseReport {
     }
 
     /// The full `BENCH_dse.json` payload: the front plus sweep telemetry —
-    /// wall-clock, engine cache-hit ratio, halving schedule and the
-    /// promoted-point error against the `envelope` bound.
-    pub fn render_json(
-        &self,
-        wall_secs: f64,
-        cache_hits: usize,
-        total_jobs: usize,
-        envelope: f64,
-    ) -> String {
+    /// wall-clock and engine cache-hit ratio.
+    pub fn render_json(&self, wall_secs: f64, cache_hits: usize, total_jobs: usize) -> String {
         let ratio = if total_jobs == 0 { 0.0 } else { cache_hits as f64 / total_jobs as f64 };
-        let rungs: Vec<String> = self.rungs.iter().map(usize::to_string).collect();
         let mut out = String::new();
         out.push_str("{\n");
         out.push_str(&format!("  \"schema\": {DSE_SCHEMA},\n"));
@@ -124,13 +108,9 @@ impl DseReport {
         out.push_str(&format!("  \"grid\": \"{}\",\n", self.grid));
         out.push_str(&format!("  \"config_count\": {},\n", self.config_count));
         out.push_str(&format!("  \"run_count\": {},\n", self.run_count));
-        out.push_str(&format!("  \"triage_points\": {},\n", self.triage_points));
+        out.push_str(&format!("  \"points\": {},\n", self.points));
         out.push_str(&format!("  \"incomplete\": {},\n", self.incomplete));
-        out.push_str(&format!("  \"rungs\": [{}],\n", rungs.join(", ")));
-        out.push_str(&format!("  \"promoted\": {},\n", self.promoted));
         out.push_str(&format!("  \"dominated\": {},\n", self.dominated));
-        out.push_str(&format!("  \"max_promoted_cycle_error\": {:.4},\n", self.max_promoted_error));
-        out.push_str(&format!("  \"cycle_error_envelope\": {envelope:.4},\n"));
         out.push_str(&format!("  \"sweep_wall_secs\": {wall_secs:.3},\n"));
         out.push_str(&format!("  \"cache_hits\": {cache_hits},\n"));
         out.push_str(&format!("  \"total_jobs\": {total_jobs},\n"));
@@ -160,12 +140,10 @@ impl DseReport {
             ));
         }
         out.push_str(&format!(
-            "front {} / {} points ({} dominated, {} promoted, max err {:.3})\n",
+            "front {} / {} points ({} dominated)\n",
             self.front.len(),
-            self.triage_points,
+            self.points,
             self.dominated,
-            self.promoted,
-            self.max_promoted_error,
         ));
         out
     }
@@ -187,16 +165,13 @@ mod tests {
         };
         DseReport {
             quick: true,
-            mode: "both",
+            mode: "accurate",
             grid: "tiny".into(),
             config_count: 4,
             run_count: 8,
-            triage_points: 4,
+            points: 4,
             incomplete: 0,
-            rungs: vec![4, 2],
-            promoted: 2,
             dominated: 3,
-            max_promoted_error: 0.12,
             front: vec![FrontRow {
                 config_id: 1,
                 speedup: 7.5,
@@ -221,15 +196,13 @@ mod tests {
 
     #[test]
     fn full_json_carries_sweep_telemetry() {
-        let json = report().render_json(12.5, 90, 100, 0.4);
+        let json = report().render_json(12.5, 90, 100);
         for needle in [
             "\"schema\": 1",
             "\"bench\": \"dse\"",
             "\"sweep_wall_secs\": 12.500",
             "\"cache_hit_ratio\": 0.9000",
-            "\"max_promoted_cycle_error\": 0.1200",
-            "\"cycle_error_envelope\": 0.4000",
-            "\"rungs\": [4, 2]",
+            "\"points\": 4",
         ] {
             assert!(json.contains(needle), "missing {needle} in {json}");
         }

@@ -1,8 +1,7 @@
 //! Property tests for the Pareto engine: for arbitrary point clouds the
-//! front must be minimal and complete, input-order-invariant, and never
-//! cut by the successive-halving refiner.
+//! front must be minimal and complete, and input-order-invariant.
 
-use ap_dse::pareto::{dominates, front, successive_halving, ParetoPoint, OBJECTIVES};
+use ap_dse::pareto::{dominates, front, ParetoPoint, OBJECTIVES};
 use proptest::prelude::*;
 
 /// Deterministic pseudo-random point cloud: `n` points with 3 objective
@@ -59,23 +58,5 @@ proptest! {
         let pts = cloud(seed, n);
         let baseline = front(&pts, &OBJECTIVES);
         prop_assert_eq!(front(&shuffled(&pts, perm), &OBJECTIVES), baseline);
-    }
-
-    /// Successive halving never drops a point that was on the triage-tier
-    /// front, no matter how small the promotion budget.
-    #[test]
-    fn halving_never_cuts_a_front_point(seed in 0u64..10_000, n in 1usize..40, budget in 1usize..20) {
-        let pts = cloud(seed, n);
-        let f = front(&pts, &OBJECTIVES);
-        let h = successive_halving(&pts, &OBJECTIVES, budget);
-        for id in &f {
-            prop_assert!(h.survivors.contains(id),
-                "front point {} was cut by halving with budget {budget}", id);
-        }
-        prop_assert!(h.survivors.len() <= budget.max(f.len()));
-        prop_assert_eq!(*h.rungs.first().unwrap(), n);
-        // Survivors are also shuffle-invariant.
-        let h2 = successive_halving(&shuffled(&pts, seed | 1), &OBJECTIVES, budget);
-        prop_assert_eq!(h2.survivors, h.survivors);
     }
 }

@@ -1,6 +1,7 @@
 //! Structured diagnostics: codes, severities, locations, and the report
 //! container with its text/JSON renderers.
 
+use ap_trace::json::quote;
 use std::fmt;
 
 /// How bad a finding is.
@@ -318,8 +319,8 @@ impl Report {
     /// Renders as one JSON object (subject, totals, findings array).
     pub fn render_json(&self) -> String {
         let mut out = format!(
-            "{{\"subject\":\"{}\",\"errors\":{},\"warnings\":{},\"diagnostics\":[",
-            escape(&self.subject),
+            "{{\"subject\":{},\"errors\":{},\"warnings\":{},\"diagnostics\":[",
+            quote(&self.subject),
             self.errors(),
             self.warnings()
         );
@@ -328,33 +329,16 @@ impl Report {
                 out.push(',');
             }
             out.push_str(&format!(
-                "{{\"code\":\"{}\",\"severity\":\"{}\",\"location\":\"{}\",\"message\":\"{}\"}}",
+                "{{\"code\":\"{}\",\"severity\":\"{}\",\"location\":{},\"message\":{}}}",
                 d.code,
                 d.severity,
-                escape(&d.location.to_string()),
-                escape(&d.message)
+                quote(&d.location.to_string()),
+                quote(&d.message)
             ));
         }
         out.push_str("]}");
         out
     }
-}
-
-/// Escapes a string for embedding in a JSON literal.
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]

@@ -47,4 +47,4 @@ mod diag;
 pub mod footprint;
 pub mod graph;
 
-pub use diag::{escape, Code, Diagnostic, Location, Report, Severity, Summary};
+pub use diag::{Code, Diagnostic, Location, Report, Severity, Summary};

@@ -14,8 +14,9 @@
 //!   still moves through `SimRam`, so functional outputs are bit-identical)
 //!   but replaces the hierarchy with [`FastMem`], a direct-mapped
 //!   *tag-filter estimator*: one tag probe per access decides hit/miss, and
-//!   the cycle estimate is built from the same [`DramConfig`] timing the
-//!   accurate model charges. No associativity, no LRU, no trace emission —
+//!   the cycle estimate is built from the same
+//!   [`DramConfig`](crate::dram::DramConfig) timing the accurate model
+//!   charges. No associativity, no LRU, no trace emission —
 //!   an access is a shift, a compare and an add.
 //!
 //! Both backends sit behind the [`MemModel`] trait; [`MemBackend`] is the
@@ -24,7 +25,6 @@
 //! [`FastMem`] and quantified per app in `BENCH_fastmode.json` (see
 //! DESIGN.md §13).
 
-use crate::dram::DramConfig;
 use crate::hierarchy::{Hierarchy, HierarchyConfig};
 use crate::stats::{CacheStats, MemStats};
 use crate::VAddr;
@@ -137,8 +137,8 @@ impl MemModel for Hierarchy {
 
 /// The fast tier's memory estimator: one set-associative tag-filter array
 /// per cache level, with the *same geometry* (sets × ways) as the modeled
-/// cache and cycle costs taken from the same [`DramConfig`] the accurate
-/// hierarchy charges.
+/// cache and cycle costs taken from the same
+/// [`DramConfig`](crate::dram::DramConfig) the accurate hierarchy charges.
 ///
 /// Per access: probe the L1 set's ways for the line tag; a match is an L1
 /// hit at L1 latency. Each set keeps its ways in recency order
@@ -239,11 +239,6 @@ impl FastMem {
     /// Returns the configuration this estimator was built from.
     pub fn config(&self) -> &HierarchyConfig {
         &self.cfg
-    }
-
-    /// The DRAM timing the estimates are built from.
-    pub fn dram_config(&self) -> &DramConfig {
-        &self.cfg.dram
     }
 
     /// One estimated data access; returns its cycle cost.

@@ -237,11 +237,6 @@ impl System {
         &self.cfg
     }
 
-    /// True when the memory system implements Active Pages.
-    pub fn is_radram(&self) -> bool {
-        self.rad.is_some()
-    }
-
     /// Which execution tier this system runs on.
     pub fn mode(&self) -> ExecMode {
         self.cpu.mode()
@@ -523,11 +518,6 @@ impl System {
         self.cpu.ram.read_u64(addr)
     }
 
-    /// Untimed double read (see [`System::ram_read_u8`]).
-    pub fn ram_read_f64(&self, addr: VAddr) -> f64 {
-        self.cpu.ram.read_f64(addr)
-    }
-
     /// Writes simulated memory without consuming simulated time. For
     /// workload setup only — measured kernels must use the timed stores.
     /// Byte data is staged with one call per contiguous region.
@@ -678,13 +668,6 @@ impl System {
         self.wait_page_idle(pid);
         // One final status read, as the application's poll loop would do.
         self.cpu.charge_uncached_access(false);
-    }
-
-    /// Services every raised inter-page request (the paper's
-    /// processor-mediated communication). Returns the number of requests
-    /// serviced.
-    pub fn service_interrupts(&mut self) -> usize {
-        self.service_raised()
     }
 
     fn wait_page_idle(&mut self, pid: u32) {

@@ -7,7 +7,6 @@
 //! Active-Page run is dominated by `page.run` while the conventional system
 //! burns its time in `stall.mem`.
 
-use crate::Trace;
 use std::collections::BTreeMap;
 
 /// One aggregated row of the summary.
@@ -47,12 +46,6 @@ where
     let mut rows: Vec<Row> = map.into_values().collect();
     rows.sort_by(|x, y| y.total_dur.cmp(&x.total_dur).then(y.count.cmp(&x.count)));
     rows
-}
-
-/// [`aggregate`] over a native [`Trace`] (all subsystems, per-page rings
-/// included).
-pub fn rows_of_trace(trace: &Trace) -> Vec<Row> {
-    aggregate(trace.all_events().map(|e| (e.subsystem.name(), e.kind, e.dur)))
 }
 
 /// Renders rows as an aligned text table with proportional `#` bars,

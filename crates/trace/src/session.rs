@@ -151,35 +151,6 @@ thread_local! {
     static SESSION: RefCell<Option<Trace>> = const { RefCell::new(None) };
     /// The active session's filter bits; zero without a session.
     static FILTER: Cell<u32> = const { Cell::new(0) };
-    /// Stack of capture buffers; a non-empty stack diverts [`emit`] into the
-    /// top buffer instead of the session rings.
-    static CAPTURE: RefCell<Vec<Vec<Event>>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Starts diverting this thread's [`emit`]s into a buffer instead of the
-/// session rings. Captures nest (a stack); each [`capture_begin`] must be
-/// paired with a [`capture_end`].
-///
-/// This is how the parallel page executor keeps traces byte-identical to the
-/// sequential schedule: bookkeeping that runs out of timeline order captures
-/// its events, and the merge step [`replay`]s them in the deterministic
-/// order.
-pub fn capture_begin() {
-    CAPTURE.with(|c| c.borrow_mut().push(Vec::new()));
-}
-
-/// Stops the innermost capture and returns its events in emission order.
-/// Returns an empty list when no capture was active.
-pub fn capture_end() -> Vec<Event> {
-    CAPTURE.with(|c| c.borrow_mut().pop().unwrap_or_default())
-}
-
-/// Re-emits captured events (through the normal [`emit`] path, so an
-/// enclosing capture or the session rings receive them).
-pub fn replay(events: &[Event]) {
-    for &e in events {
-        emit(e);
-    }
 }
 
 /// The calling thread's gate: its session's filter bits, zero without one.
@@ -209,20 +180,9 @@ pub fn active() -> bool {
 
 /// Stores `event` in the active session's ring for its subsystem (or, when
 /// page sharding applies, in that page's ring). Callers gate on [`enabled`]
-/// first; this function re-checks nothing. An active [`capture_begin`]
-/// diverts the event into the capture buffer instead.
+/// first; this function re-checks nothing.
 #[inline]
 pub fn emit(event: Event) {
-    let captured = CAPTURE.with(|c| match c.borrow_mut().last_mut() {
-        Some(buf) => {
-            buf.push(event);
-            true
-        }
-        None => false,
-    });
-    if captured {
-        return;
-    }
     SESSION.with(|s| {
         if let Some(trace) = s.borrow_mut().as_mut() {
             trace.push(event);
@@ -342,38 +302,6 @@ mod tests {
         assert_eq!(t.page_ids().count(), 0);
         assert_eq!(t.ring(Subsystem::Radram).len(), 1);
         assert_eq!(t.total_dur(Subsystem::Radram, "page.run"), 10);
-    }
-
-    #[test]
-    fn capture_diverts_then_replay_delivers() {
-        begin(SessionConfig::filtered(Filter::ALL));
-        capture_begin();
-        complete(Subsystem::Radram, "page.run", 0, 10, 1, 0);
-        instant(Subsystem::Radram, "irq.service", 5, 0, 0);
-        let buf = capture_end();
-        assert_eq!(buf.len(), 2, "capture holds the diverted events");
-        assert_eq!(SESSION.with(|s| s.borrow().as_ref().unwrap().all_events().count()), 0);
-        replay(&buf);
-        let t = finish().unwrap();
-        assert_eq!(t.total_dur(Subsystem::Radram, "page.run"), 10);
-        assert_eq!(t.page_ring(1).unwrap().len(), 1);
-        assert_eq!(t.ring(Subsystem::Radram).len(), 1);
-        assert!(capture_end().is_empty(), "stack is balanced");
-    }
-
-    #[test]
-    fn captures_nest() {
-        begin(SessionConfig::filtered(Filter::ALL));
-        capture_begin();
-        instant(Subsystem::Radram, "outer", 1, 0, 0);
-        capture_begin();
-        instant(Subsystem::Radram, "inner", 2, 0, 0);
-        let inner = capture_end();
-        assert_eq!(inner.len(), 1);
-        replay(&inner); // lands in the still-open outer capture
-        let outer = capture_end();
-        assert_eq!(outer.len(), 2);
-        let _ = finish();
     }
 
     #[test]
