@@ -35,13 +35,11 @@
 #![warn(missing_docs)]
 
 mod calibrate;
-mod estimate;
 mod model;
 mod regions;
 mod stats;
 
 pub use calibrate::{calibrate, Calibration};
-pub use estimate::{estimate_kernel, CycleEstimate};
 pub use model::{amdahl, non_overlap, ConstModel, PageTimes};
 pub use regions::{fig1_series, Fig1Point};
 pub use stats::pearson;

@@ -153,8 +153,17 @@ fn run_conventional(pages: f64, records: usize, cfg: RadramConfig, mode: ExecMod
     let mut sys = System::conventional_mode(cfg, mode);
     let base = sys.ram_alloc(records * RECORD_BYTES, 64);
     let (field, expected) = stage_book(&mut sys, records, &[(base, records)]);
-    let key = key_words(&field);
     let t0 = sys.kernel_start();
+    let count = scan(&mut sys, base, records, &key_words(&field), 11);
+    let kernel = sys.kernel_region(t0);
+    report(SystemKind::Conventional, pages, kernel, 0, count, expected, &sys)
+}
+
+/// The conventional kernel: an early-exit word-wise compare of the
+/// last-name field `key` against each of the `records` records at `base`,
+/// on the system's tier; `site` is the compare's branch-predictor site.
+/// Returns the match count.
+fn scan(sys: &mut System, base: VAddr, records: usize, key: &[u32; 4], site: u32) -> u32 {
     let mut count = 0u32;
     if sys.mode() == ExecMode::Fast {
         // Bulk fast path (DESIGN.md §13): run the scan over an untimed slice,
@@ -189,28 +198,26 @@ fn run_conventional(pages: f64, records: usize, cfg: RadramConfig, mode: ExecMod
         sys.scan_heads(base, records, RECORD_BYTES, words);
         sys.alu(words + 2 * records as u64 + count as u64);
         sys.branch_run(words);
-    } else {
-        for r in 0..records {
-            let rec = base + (r * RECORD_BYTES) as u64;
-            // Early-exit word-wise compare of the last-name field.
-            let mut matched = true;
-            for (w, &kw) in key.iter().enumerate() {
-                let v = sys.load_u32(rec + (w * 4) as u64);
-                sys.alu(1);
-                if !sys.branch(11, v == kw) {
-                    matched = false;
-                    break;
-                }
-            }
-            sys.alu(2); // record pointer bump + loop test
-            if matched {
-                count += 1;
-                sys.alu(1);
+        return count;
+    }
+    for r in 0..records {
+        let rec = base + (r * RECORD_BYTES) as u64;
+        let mut matched = true;
+        for (w, &kw) in key.iter().enumerate() {
+            let v = sys.load_u32(rec + (w * 4) as u64);
+            sys.alu(1);
+            if !sys.branch(site, v == kw) {
+                matched = false;
+                break;
             }
         }
+        sys.alu(2); // record pointer bump + loop test
+        if matched {
+            count += 1;
+            sys.alu(1);
+        }
     }
-    let kernel = sys.kernel_region(t0);
-    report(SystemKind::Conventional, pages, kernel, 0, count, expected, &sys)
+    count
 }
 
 fn run_radram(
@@ -225,42 +232,50 @@ fn run_radram(
     let base = sys.ap_alloc_pages(group, alloc_pages);
     sys.ap_bind(group, Arc::new(DatabaseSearchFn));
     // Record blocks are distributed over the page bodies.
+    let block = |p: usize| ((p + 1) * RECORDS_PER_PAGE).min(records) - p * RECORDS_PER_PAGE;
     let blocks: Vec<(VAddr, usize)> = (0..alloc_pages)
-        .map(|p| {
-            let lo = p * RECORDS_PER_PAGE;
-            let hi = ((p + 1) * RECORDS_PER_PAGE).min(records);
-            (base + (p * PAGE_SIZE + sync::BODY_OFFSET) as u64, hi - lo)
-        })
+        .map(|p| (base + (p * PAGE_SIZE + sync::BODY_OFFSET) as u64, block(p)))
         .collect();
     let (field, expected) = stage_book(&mut sys, records, &blocks);
-    let key = key_words(&field);
     let t0 = sys.kernel_start();
-    // Initiate the query on every page.
-    let d0 = sys.now();
-    let batch: Vec<PageActivation> = (0..alloc_pages)
+    let (count, dispatch) = search(&mut sys, base, 0..alloc_pages, block, &key_words(&field));
+    let kernel = sys.kernel_region(t0);
+    report(SystemKind::Radram, pages, kernel, dispatch, count, expected, &sys)
+}
+
+/// The RADram kernel: initiates the query for `key` on `pages` (page `p`
+/// at `base + p * PAGE_SIZE` holding `records(p)` records) as one batch,
+/// then waits on each page in turn and sums its count. Returns the total
+/// and the dispatch cycles.
+fn search(
+    sys: &mut System,
+    base: VAddr,
+    pages: std::ops::Range<usize>,
+    records: impl Fn(usize) -> usize,
+    key: &[u32; 4],
+) -> (u32, u64) {
+    let batch: Vec<PageActivation> = pages
+        .clone()
         .map(|p| {
-            let lo = p * RECORDS_PER_PAGE;
-            let hi = ((p + 1) * RECORDS_PER_PAGE).min(records);
             let mut act = PageActivation::new(base + (p * PAGE_SIZE) as u64, CMD_SEARCH)
-                .with_param(sync::PARAM, (hi - lo) as u32);
+                .with_param(sync::PARAM, records(p) as u32);
             for (w, &kw) in key.iter().enumerate() {
                 act = act.with_param(sync::PARAM + 1 + w, kw);
             }
             act
         })
         .collect();
+    let d0 = sys.now();
     sys.activate_pages(&batch);
     let dispatch = sys.now() - d0;
-    // Summarize results.
     let mut count = 0u32;
-    for p in 0..alloc_pages {
+    for p in pages {
         let pb = base + (p * PAGE_SIZE) as u64;
         sys.wait_done(pb);
         count += sys.read_ctrl(pb, sync::RESULT);
         sys.alu(2);
     }
-    let kernel = sys.kernel_region(t0);
-    report(SystemKind::Radram, pages, kernel, dispatch, count, expected, &sys)
+    (count, dispatch)
 }
 
 pub mod xl {
@@ -405,14 +420,6 @@ pub mod xl {
         }
     }
 
-    fn key_words(key: &[u8; LAST_NAME_LEN]) -> [u32; 4] {
-        let mut words = [0u32; 4];
-        for (w, slot) in words.iter_mut().enumerate() {
-            *slot = u32::from_le_bytes(key[w * 4..w * 4 + 4].try_into().unwrap());
-        }
-        words
-    }
-
     fn report(
         kind: SystemKind,
         wl: &Workload,
@@ -440,57 +447,14 @@ pub mod xl {
         let base = sys.ram_alloc(wl.book.bytes().len(), 64);
         sys.ram_write_bytes(base, wl.book.bytes());
         let t0 = sys.kernel_start();
-        let mut counts = Vec::with_capacity(wl.queries.len());
-        for q in &wl.queries {
-            let key = key_words(&q.key);
-            let shard = base + (q.tenant * TENANT_RECORDS * RECORD_BYTES) as u64;
-            let mut count = 0u32;
-            if sys.mode() == ExecMode::Fast {
-                // Bulk fast path (DESIGN.md §13): scan the shard untimed,
-                // then charge the early-exit loop's instruction mix from
-                // counts — identical replay to the word-wise loop below.
-                let mut words = 0u64;
-                {
-                    let data = sys.ram_slice(shard, TENANT_RECORDS * RECORD_BYTES);
-                    for rec in data.chunks_exact(RECORD_BYTES) {
-                        let mut matched = true;
-                        for (w, &kw) in key.iter().enumerate() {
-                            words += 1;
-                            let v = u32::from_le_bytes(rec[w * 4..w * 4 + 4].try_into().unwrap());
-                            if v != kw {
-                                matched = false;
-                                break;
-                            }
-                        }
-                        if matched {
-                            count += 1;
-                        }
-                    }
-                }
-                sys.scan_heads(shard, TENANT_RECORDS, RECORD_BYTES, words);
-                sys.alu(words + 2 * TENANT_RECORDS as u64 + count as u64);
-                sys.branch_run(words);
-            } else {
-                for r in 0..TENANT_RECORDS {
-                    let rec = shard + (r * RECORD_BYTES) as u64;
-                    let mut matched = true;
-                    for (w, &kw) in key.iter().enumerate() {
-                        let v = sys.load_u32(rec + (w * 4) as u64);
-                        sys.alu(1);
-                        if !sys.branch(BRANCH_SITE, v == kw) {
-                            matched = false;
-                            break;
-                        }
-                    }
-                    sys.alu(2); // record pointer bump + loop test
-                    if matched {
-                        count += 1;
-                        sys.alu(1);
-                    }
-                }
-            }
-            counts.push(count);
-        }
+        let counts: Vec<u32> = wl
+            .queries
+            .iter()
+            .map(|q| {
+                let shard = base + (q.tenant * TENANT_RECORDS * RECORD_BYTES) as u64;
+                scan(&mut sys, shard, TENANT_RECORDS, &key_words(&q.key), BRANCH_SITE)
+            })
+            .collect();
         let kernel = sys.kernel_region(t0);
         report(SystemKind::Conventional, wl, kernel, 0, &counts, &sys)
     }
@@ -510,33 +474,18 @@ pub mod xl {
             );
         }
         let t0 = sys.kernel_start();
-        let mut counts = Vec::with_capacity(wl.queries.len());
         let mut dispatch = 0u64;
-        let mut batch = Vec::with_capacity(TENANT_PAGES);
-        for q in &wl.queries {
-            let key = key_words(&q.key);
-            let first = q.tenant * TENANT_PAGES;
-            batch.clear();
-            batch.extend((first..first + TENANT_PAGES).map(|p| {
-                let mut act = PageActivation::new(base + (p * PAGE_SIZE) as u64, CMD_SEARCH)
-                    .with_param(sync::PARAM, RECORDS_PER_PAGE as u32);
-                for (w, &kw) in key.iter().enumerate() {
-                    act = act.with_param(sync::PARAM + 1 + w, kw);
-                }
-                act
-            }));
-            let d0 = sys.now();
-            sys.activate_pages(&batch);
-            dispatch += sys.now() - d0;
-            let mut count = 0u32;
-            for p in first..first + TENANT_PAGES {
-                let pb = base + (p * PAGE_SIZE) as u64;
-                sys.wait_done(pb);
-                count += sys.read_ctrl(pb, sync::RESULT);
-                sys.alu(2);
-            }
-            counts.push(count);
-        }
+        let counts: Vec<u32> = wl
+            .queries
+            .iter()
+            .map(|q| {
+                let shard = q.tenant * TENANT_PAGES..(q.tenant + 1) * TENANT_PAGES;
+                let key = key_words(&q.key);
+                let (count, d) = search(&mut sys, base, shard, |_| RECORDS_PER_PAGE, &key);
+                dispatch += d;
+                count
+            })
+            .collect();
         let kernel = sys.kernel_region(t0);
         report(SystemKind::Radram, wl, kernel, dispatch, &counts, &sys)
     }

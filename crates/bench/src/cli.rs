@@ -138,8 +138,9 @@ pub fn usage() -> String {
          \x20                     (cycle oracle, default), fast (counted\n\
          \x20                     functional tier), or both (run both tiers,\n\
          \x20                     cross-check answers and cycle error; exits\n\
-         \x20                     non-zero on an envelope breach). dse sweeps\n\
-         \x20                     one tier, so it rejects both\n\
+         \x20                     non-zero on an envelope breach). dse and\n\
+         \x20                     database-xl run one tier, so they reject\n\
+         \x20                     both\n\
          \x20 --quick             shrink sweeps to CI size (same as AP_QUICK=1)\n\
          \n\
          environment: the AP_* variables (AP_QUICK, AP_JOBS, AP_RESULTS_DIR,\n\
@@ -242,8 +243,8 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Cli, String>
     if !cli.bench_wallclock && (cli.pages.is_some() || cli.threads.is_some()) {
         return Err("--pages/--threads only apply to --bench-wallclock".into());
     }
-    if cli.target == "dse" && cli.mode == Some(ModeChoice::Both) {
-        return Err("dse sweeps one tier: --mode accurate or fast, not both".into());
+    if matches!(cli.target.as_str(), "dse" | "database-xl") && cli.mode == Some(ModeChoice::Both) {
+        return Err(format!("{} runs one tier: --mode accurate or fast, not both", cli.target));
     }
     Ok(cli)
 }
@@ -398,6 +399,14 @@ mod tests {
         assert!(err.contains("one tier"), "{err}");
         assert!(parse(&["dse", "--mode=accurate"]).is_ok());
         assert!(parse(&["dse", "--mode", "fast"]).is_ok());
+    }
+
+    #[test]
+    fn database_xl_rejects_both_tiers() {
+        let err = parse(&["database-xl", "--mode", "both"]).unwrap_err();
+        assert!(err.contains("one tier"), "{err}");
+        assert!(parse(&["database-xl", "--mode", "accurate"]).is_ok());
+        assert!(parse(&["database-xl", "--mode=fast"]).is_ok());
     }
 
     #[test]

@@ -50,14 +50,13 @@ pub struct Collector {
     configs: Vec<DseConfig>,
     conventional: Vec<Option<RunReport>>,
     radram: Vec<Option<RunReport>>,
-    failed: usize,
 }
 
 impl Collector {
     /// A collector for the given expansion-ordered configs.
     pub fn new(configs: Vec<DseConfig>) -> Collector {
         let n = configs.len();
-        Collector { configs, conventional: vec![None; n], radram: vec![None; n], failed: 0 }
+        Collector { configs, conventional: vec![None; n], radram: vec![None; n] }
     }
 
     /// Folds in the result of spec `spec_index`; `None` records a failed
@@ -77,12 +76,9 @@ impl Collector {
             (&mut self.radram[config], SystemKind::Radram)
         };
         assert!(slot.is_none(), "spec index {spec_index} collected twice");
-        match report {
-            Some(r) => {
-                assert_eq!(r.system, expected, "spec index {spec_index} has the wrong system");
-                *slot = Some(r);
-            }
-            None => self.failed += 1,
+        if let Some(r) = report {
+            assert_eq!(r.system, expected, "spec index {spec_index} has the wrong system");
+            *slot = Some(r);
         }
     }
 
@@ -103,11 +99,6 @@ impl Collector {
             }
         }
         (points, incomplete)
-    }
-
-    /// Number of runs recorded as failed so far.
-    pub fn failed_runs(&self) -> usize {
-        self.failed
     }
 }
 
@@ -181,7 +172,6 @@ mod tests {
         c.push(1, None); // RADram half failed
         c.push(2, Some(report(App::Median, SystemKind::Conventional, 800)));
         c.push(3, Some(report(App::Median, SystemKind::Radram, 100)));
-        assert_eq!(c.failed_runs(), 1);
         let (points, incomplete) = c.finish();
         assert_eq!(incomplete, 1);
         assert_eq!(points.len(), 1);

@@ -147,8 +147,7 @@ impl Grid {
     }
 
     /// The smoke grid CI sweeps twice per push: three kernels over a
-    /// 2 × 2 × 2 × 2 corner of the space (24 design points, 48 runs per
-    /// tier).
+    /// 2 × 2 × 2 × 2 corner of the space (48 configs, 96 runs).
     pub fn quick() -> Grid {
         Grid {
             apps: vec![App::Database, App::Median, App::ArrayFind],

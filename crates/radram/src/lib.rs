@@ -68,4 +68,4 @@ pub use ap_cpu::ExecMode;
 pub use config::{CommMode, RadramConfig, ServiceMode};
 pub use hosttime::take_kernel_host_secs;
 pub use stats::SystemStats;
-pub use system::{PageActivation, RaceAudit, System};
+pub use system::{PageActivation, System};
