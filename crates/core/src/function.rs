@@ -172,11 +172,12 @@ pub trait PageFunction: fmt::Debug + Send + Sync {
     /// The page-relative byte ranges [`PageFunction::execute`] may touch, as
     /// a statically declared over-approximation.
     ///
-    /// The parallel executor uses this for its race checks: batches whose
-    /// members all declare footprints confined to their own pages are proven
-    /// disjoint and fast-tracked, and the dynamic sanitizer (`AP_SANITIZE=1`)
-    /// verifies every recorded access stays inside the declaration. The
-    /// default — honest ignorance — keeps the runtime fallbacks instead.
+    /// The parallel executor uses this for its race checks: a batch whose
+    /// members' declarations overlap in a write is reported (RC202) and run
+    /// sequentially, and the dynamic sanitizer (`AP_SANITIZE=1`) verifies
+    /// every recorded access stays inside the declaration. The default —
+    /// honest ignorance — proves nothing, so such a batch relies on the
+    /// runtime fallbacks alone.
     ///
     /// Implementations must *over*-declare: claiming less than `execute`
     /// touches turns the sanitizer's RC204 check into an error.
