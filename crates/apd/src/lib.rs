@@ -19,9 +19,11 @@
 //! * [`server`] — the daemon itself: every request goes to the pool, which
 //!   schedules fairly with per-client backpressure, probes and fills the
 //!   cache, simulates a point that several clients want at once only once,
-//!   and writes an fsynced JSONL manifest; a process-wide
-//!   [`ap_trace::Registry`] is scraped over HTTP (`/healthz`, `/metrics`,
-//!   `/jobs` on the same socket), and shutdown drains gracefully;
+//!   and group-commits a JSONL manifest (every line fdatasynced before its
+//!   job's response, one sync for all the lines queued together); a
+//!   process-wide [`ap_trace::Registry`] is scraped over HTTP (`/healthz`,
+//!   `/metrics`, `/jobs` on the same socket), and shutdown drains
+//!   gracefully;
 //! * [`client`] — the blocking client library behind the `apctl` binary.
 //!
 //! See `DESIGN.md` §12 for the protocol grammar and scheduling policy, and

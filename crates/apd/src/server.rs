@@ -14,10 +14,13 @@
 //! per-client queues). The pool runs each job's whole sequence: the probe
 //! of the content-addressed disk cache (salted with
 //! [`ap_bench::runner::harness_salt`], so entries are interchangeable with
-//! local `experiments` runs), the simulation, the store, and the fsynced
-//! JSONL manifest line; a point already running for another client is
-//! simulated once for both. This module adds the protocol, the `/jobs`
-//! table and the [`ap_trace::Registry`] that `/metrics` scrapes.
+//! local `experiments` runs), the simulation, the store, and the JSONL
+//! manifest line, group-committed with the other lines queued at the same
+//! time (one `fdatasync` for all of them, before any of their responses); a
+//! point already running for another client is simulated once for both.
+//! This module adds the protocol, the `/jobs` table and the
+//! [`ap_trace::Registry`] that `/metrics` scrapes, with the manifest's line
+//! and sync counts next to the page-pool counters.
 
 use crate::proto::{FrameError, Outcome, Request, Response, WireSpec, MAX_FRAME};
 use ap_apps::RunReport;
@@ -92,6 +95,8 @@ struct JobRecord {
 /// completion callback touches.
 struct Daemon {
     service: Service<RunReport>,
+    /// The service's manifest (a clone sharing its file and counts).
+    manifest: Option<manifest::Writer>,
     registry: Registry,
     jobs: Mutex<JobTable>,
     next_client: AtomicU64,
@@ -141,12 +146,13 @@ impl Server {
                 sessions: Some(Sessions { filter: ap_trace::Filter::NONE, export: None }),
                 cache: cfg.cache_dir.map(DiskCache::new),
                 salt: harness_salt(),
-                manifest,
+                manifest: manifest.clone(),
             },
             Some(report_codec()),
         );
         let daemon = Arc::new(Daemon {
             service,
+            manifest,
             registry: Registry::new(),
             jobs: Mutex::new(JobTable::default()),
             next_client: AtomicU64::new(1),
@@ -518,10 +524,13 @@ fn render_metrics(daemon: &Daemon) -> String {
         let _ = writeln!(out, "# TYPE {name} gauge\n{name} {value}");
     }
     let pool = active_pages::parallel::pool_stats();
+    let (lines, syncs) = daemon.manifest.as_ref().map_or((0, 0), manifest::Writer::counts);
     for (name, value) in [
         ("ap_page_pool_batches", pool.batches),
         ("ap_page_pool_reuses", pool.reuses),
         ("ap_page_pool_threads_spawned", pool.threads_spawned),
+        ("ap_manifest_lines", lines),
+        ("ap_manifest_syncs", syncs),
     ] {
         let _ = writeln!(out, "# TYPE {name} counter\n{name} {value}");
     }

@@ -122,6 +122,13 @@ fn two_clients_get_bit_identical_results_and_share_the_cache() {
     // The shared page-worker pool is surfaced so operators can watch reuse.
     assert!(metrics.contains("ap_page_pool_batches"), "pool counters missing:\n{metrics}");
     assert!(metrics.contains("ap_page_pool_reuses"), "pool counters missing:\n{metrics}");
+    // The manifest counts its committed lines and syncs: every accepted job
+    // has its line by the time its result arrives.
+    let accepted = metric(&metrics, "apd_jobs_accepted").unwrap();
+    let lines = metric(&metrics, "ap_manifest_lines").expect("manifest line count missing");
+    let syncs = metric(&metrics, "ap_manifest_syncs").expect("manifest sync count missing");
+    assert_eq!(lines, accepted, "one committed line per accepted job:\n{metrics}");
+    assert!((1..=lines).contains(&syncs), "{syncs} syncs for {lines} lines:\n{metrics}");
 
     // HTTP surface.
     assert_eq!(http_get(addr, "/healthz").unwrap(), "ok\n");
@@ -134,7 +141,7 @@ fn two_clients_get_bit_identical_results_and_share_the_cache() {
     client.shutdown().expect("daemon confirms shutdown");
     server.wait();
 
-    // The fsynced manifest is complete: one line per accepted job, all ok.
+    // The committed manifest is complete: one line per accepted job, all ok.
     let total = (sweep_a.len() + sweep_b.len() + rerun.len()) as u64;
     let summary = ap_engine::manifest::summarize(&manifest).unwrap();
     assert_eq!(summary.total as u64, total, "one manifest line per accepted job");

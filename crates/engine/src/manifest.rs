@@ -92,16 +92,29 @@ impl Entry {
 
 /// Appends one line per outcome to the manifest at `path`.
 ///
-/// Every [`record`](Writer::record) is written *and fsynced* immediately:
-/// the manifest is the run's audit trail, and a killed process (a daemon
-/// hit by SIGKILL, a crashed CI box) must leave a complete prefix of
-/// whole lines behind, not a page-cache-resident tail that never reached
-/// the disk. Jobs are seconds of simulation each, so one `fdatasync` per
-/// completion is noise. Clones share the file; concurrent records append
-/// whole lines, one at a time.
+/// The manifest is the run's audit trail, so a killed process (a daemon
+/// hit by SIGKILL, a crashed CI box) must leave a complete prefix of whole
+/// lines behind, not a page-cache-resident tail that never reached the
+/// disk. [`write`](Writer::write) is therefore a group commit: it appends
+/// every entry of its slice, in order, with one `write_all`, then forces
+/// them to stable storage with one `fdatasync` before it returns. A caller
+/// that acts on a line (calls a job's completion callback) does so only
+/// after the `write` holding that line has returned. A cache hit is tens
+/// of microseconds and an `fdatasync` about a hundred, so callers hand
+/// over every line they have at once rather than one line per sync.
+/// Clones share the file and its [`counts`](Writer::counts); concurrent
+/// writes append whole slices, one at a time.
 #[derive(Debug, Clone)]
 pub struct Writer {
-    file: Arc<Mutex<std::fs::File>>,
+    file: Arc<Mutex<Appender>>,
+}
+
+/// The open manifest and what has been committed to it.
+#[derive(Debug)]
+struct Appender {
+    file: std::fs::File,
+    lines: u64,
+    syncs: u64,
 }
 
 impl Writer {
@@ -113,19 +126,39 @@ impl Writer {
             }
         }
         let file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Writer { file: Arc::new(Mutex::new(file)) })
+        Ok(Writer { file: Arc::new(Mutex::new(Appender { file, lines: 0, syncs: 0 })) })
     }
 
-    /// Appends one entry and forces it to stable storage.
-    pub fn record(&self, entry: &Entry) {
-        let mut file = self.file.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Err(e) = writeln!(file, "{}", entry.to_json()) {
-            ap_trace::warn("manifest.write_failed", format!("cannot write manifest line: {e}"));
+    /// Appends `entries` as whole lines, in order, with one write, and
+    /// forces them to stable storage with one sync. An empty slice writes
+    /// and syncs nothing. Failures are counted warnings.
+    pub fn write(&self, entries: &[Entry]) {
+        if entries.is_empty() {
             return;
         }
-        if let Err(e) = file.sync_data() {
-            ap_trace::warn("manifest.sync_failed", format!("cannot fsync manifest: {e}"));
+        let mut text = String::new();
+        for entry in entries {
+            text.push_str(&entry.to_json());
+            text.push('\n');
         }
+        let mut out = self.file.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        if let Err(e) = out.file.write_all(text.as_bytes()) {
+            ap_trace::warn("manifest.write_failed", format!("cannot write manifest lines: {e}"));
+            return;
+        }
+        out.lines += entries.len() as u64;
+        if let Err(e) = out.file.sync_data() {
+            ap_trace::warn("manifest.sync_failed", format!("cannot fsync manifest: {e}"));
+            return;
+        }
+        out.syncs += 1;
+    }
+
+    /// `(lines, syncs)` this writer and its clones have committed: lines
+    /// written, and `fdatasync` calls that succeeded.
+    pub fn counts(&self) -> (u64, u64) {
+        let out = self.file.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        (out.lines, out.syncs)
     }
 }
 
@@ -201,26 +234,28 @@ mod tests {
         let path = dir.join(format!("ap-engine-manifest-test-{}.jsonl", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let w = Writer::append(&path).unwrap();
-        w.record(&Entry {
-            key: "a \"quoted\"\nkey".into(),
-            outcome: "ok",
-            error: None,
-            cache_hit: true,
-            wall_ms: 1.5,
-            worker: 0,
-            diag: Some(DiagCounts { errors: 0, warnings: 3 }),
-            trace: Some("traces/abc.trace.json".into()),
-        });
-        w.record(&Entry {
-            key: "b".into(),
-            outcome: "panicked",
-            error: Some("boom".into()),
-            cache_hit: false,
-            wall_ms: 2.0,
-            worker: 1,
-            diag: None,
-            trace: None,
-        });
+        w.write(&[
+            Entry {
+                key: "a \"quoted\"\nkey".into(),
+                outcome: "ok",
+                error: None,
+                cache_hit: true,
+                wall_ms: 1.5,
+                worker: 0,
+                diag: Some(DiagCounts { errors: 0, warnings: 3 }),
+                trace: Some("traces/abc.trace.json".into()),
+            },
+            Entry {
+                key: "b".into(),
+                outcome: "panicked",
+                error: Some("boom".into()),
+                cache_hit: false,
+                wall_ms: 2.0,
+                worker: 1,
+                diag: None,
+                trace: None,
+            },
+        ]);
         drop(w);
         let s = summarize(&path).unwrap();
         assert_eq!(
@@ -242,6 +277,39 @@ mod tests {
         assert!(text.contains("a \\\"quoted\\\"\\nkey"), "escaping broken: {text}");
         assert!(text.contains("\"diag_warnings\":3"), "diag missing: {text}");
         assert!(text.contains("\"trace\":\"traces/abc.trace.json\""), "trace missing: {text}");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    fn entry(key: &str) -> Entry {
+        Entry {
+            key: key.into(),
+            outcome: "ok",
+            error: None,
+            cache_hit: true,
+            wall_ms: 0.25,
+            worker: 0,
+            diag: None,
+            trace: None,
+        }
+    }
+
+    #[test]
+    fn a_write_appends_whole_lines_in_order_with_one_sync() {
+        let dir = std::env::temp_dir();
+        let path = dir.join(format!("ap-engine-manifest-group-{}.jsonl", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let w = Writer::append(&path).unwrap();
+        w.write(&[]);
+        assert_eq!(w.counts(), (0, 0), "an empty slice writes and syncs nothing");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "");
+        w.write(&[entry("first")]);
+        let batch: Vec<Entry> = (0..5).map(|i| entry(&format!("k{i}"))).collect();
+        w.clone().write(&batch);
+        assert_eq!(w.counts(), (6, 2), "one sync per write, shared by clones");
+        let expected: String =
+            std::iter::once(entry("first")).chain(batch).map(|e| e.to_json() + "\n").collect();
+        let text = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(text, expected, "whole lines, in slice order");
         let _ = std::fs::remove_file(&path);
     }
 }

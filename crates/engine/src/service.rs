@@ -18,10 +18,15 @@
 //!    when [`Sessions::export`] names a directory.
 //! 3. **Store** a fresh value in the cache.
 //! 4. Write the job's **manifest** line (with the codec's diag counts on
-//!    `ok` lines), and only then call the job's completion callback. One
-//!    worker at a time writes lines: a worker that finds another writing
-//!    queues its completion for that one and picks its next job instead of
-//!    waiting on the fsync.
+//!    `ok` lines), and only then call the job's completion callback. The
+//!    write is a group commit. Completions queue in one outbox in
+//!    completion order, and one worker at a time holds the delivery turn.
+//!    The worker that takes it drains the whole outbox, writes every
+//!    queued line in order with one write and one `fdatasync`, gives the
+//!    turn up, and then calls those completions' callbacks in order. A
+//!    worker that finds the turn taken leaves its completion in the outbox
+//!    for the turn holder and picks its next job instead of waiting on the
+//!    sync.
 //!
 //! [`JobOutcome::wall`] runs from the pick to the value being ready (after
 //! the probe, or after compute and store); the fsynced manifest write is
@@ -234,7 +239,7 @@ struct Shared<T> {
     codec: Option<Codec<T>>,
     /// Picked jobs' completions waiting for their manifest line and
     /// callback, in completion order.
-    outbox: Mutex<VecDeque<Delivery<T>>>,
+    outbox: Mutex<Vec<Delivery<T>>>,
     /// Whether a worker holds the delivery turn (see `complete`).
     delivering: AtomicBool,
 }
@@ -299,7 +304,7 @@ impl<T: Send + 'static> Service<T> {
             settled: Condvar::new(),
             cfg: ServiceConfig { workers, ..cfg },
             codec,
-            outbox: Mutex::new(VecDeque::new()),
+            outbox: Mutex::new(Vec::new()),
             delivering: AtomicBool::new(false),
         });
         let handles = (0..workers)
@@ -386,7 +391,7 @@ impl<T: Send + 'static> Service<T> {
         };
         match removed {
             Some(pending) => {
-                self.shared.cancelled(pending);
+                self.shared.cancelled([pending]);
                 self.shared.settled.notify_all();
                 true
             }
@@ -394,8 +399,9 @@ impl<T: Send + 'static> Service<T> {
         }
     }
 
-    /// Drops `client`'s queue entirely, cancelling its queued jobs (their
-    /// callbacks fire with [`JobError::Cancelled`]). Call when a client
+    /// Drops `client`'s queue entirely, cancelling its queued jobs: their
+    /// manifest lines are committed with one sync, then their callbacks
+    /// fire with [`JobError::Cancelled`] on this thread. Call when a client
     /// disconnects; its running jobs still complete normally.
     pub fn retire_client(&self, client: u64) -> usize {
         let dropped = {
@@ -405,9 +411,7 @@ impl<T: Send + 'static> Service<T> {
             dropped
         };
         let n = dropped.len();
-        for pending in dropped {
-            self.shared.cancelled(pending);
-        }
+        self.shared.cancelled(dropped);
         if n > 0 {
             self.shared.settled.notify_all();
         }
@@ -519,6 +523,7 @@ impl<T: Send + 'static> Shared<T> {
         })
         .unwrap_or_else(|e| (Err(e), false, None, None));
         let wall = picked.elapsed();
+        let mut deliveries = Vec::new();
         if let Some(codec) = &self.codec {
             let flight = (key, deadline);
             let waiters = self.lock().inflight.remove(&flight).unwrap_or_default();
@@ -546,28 +551,29 @@ impl<T: Send + 'static> Shared<T> {
                     outcome,
                     trace: None,
                 };
-                self.complete(completion, waiter.on_done);
+                deliveries.push((completion, waiter.on_done));
             }
         }
         let outcome = JobOutcome { key, result, wall, cache_hit, worker, trace };
         let queued = picked.saturating_duration_since(enqueued);
-        self.complete(Completion { id, client, queued, outcome, trace: session }, on_done);
+        deliveries.push((Completion { id, client, queued, outcome, trace: session }, on_done));
+        self.complete(deliveries);
     }
 
-    /// Queues a picked job's completion, then delivers queued ones while
-    /// this worker can take the delivery turn (module docs, step 4), giving
-    /// the turn up before each callback so another worker can write lines.
-    fn complete(&self, completion: Completion<T>, on_done: OnDone<T>) {
-        self.outbox().push_back((completion, on_done));
+    /// Queues picked jobs' completions, then delivers the outbox while this
+    /// worker can take the delivery turn (module docs, step 4): each turn
+    /// commits every queued line with one sync and gives the turn up before
+    /// the callbacks, so another worker can commit the lines queued
+    /// meanwhile.
+    fn complete(&self, deliveries: Vec<Delivery<T>>) {
+        self.outbox().extend(deliveries);
         while !self.outbox().is_empty()
             && self.delivering.compare_exchange(false, true, SeqCst, SeqCst).is_ok()
         {
-            let next = self.outbox().pop_front();
-            if let Some((completion, _)) = &next {
-                self.record(completion);
-            }
+            let batch = std::mem::take(&mut *self.outbox());
+            self.record(&batch);
             self.delivering.store(false, SeqCst);
-            if let Some((completion, on_done)) = next {
+            for (completion, on_done) in batch {
                 call(on_done, completion);
                 self.lock().running -= 1;
                 self.settled.notify_all();
@@ -575,37 +581,53 @@ impl<T: Send + 'static> Shared<T> {
         }
     }
 
-    fn outbox(&self) -> MutexGuard<'_, VecDeque<Delivery<T>>> {
+    fn outbox(&self) -> MutexGuard<'_, Vec<Delivery<T>>> {
         self.outbox.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    /// Delivers a cancelled job: its manifest line, then its callback.
-    fn cancelled(&self, job: Pending<T>) {
-        let outcome = JobOutcome {
-            key: job.key,
-            result: Err(JobError::Cancelled),
-            wall: Duration::ZERO,
-            cache_hit: false,
-            worker: 0,
-            trace: None,
-        };
-        let queued = job.enqueued.elapsed();
-        let completion =
-            Completion { id: job.id, client: job.client, queued, outcome, trace: None };
-        self.record(&completion);
-        call(job.on_done, completion);
+    /// Delivers cancelled jobs: their manifest lines with one sync, then
+    /// their callbacks in order.
+    fn cancelled(&self, jobs: impl IntoIterator<Item = Pending<T>>) {
+        let batch: Vec<Delivery<T>> = jobs
+            .into_iter()
+            .map(|job| {
+                let outcome = JobOutcome {
+                    key: job.key,
+                    result: Err(JobError::Cancelled),
+                    wall: Duration::ZERO,
+                    cache_hit: false,
+                    worker: 0,
+                    trace: None,
+                };
+                let queued = job.enqueued.elapsed();
+                let completion =
+                    Completion { id: job.id, client: job.client, queued, outcome, trace: None };
+                (completion, job.on_done)
+            })
+            .collect();
+        self.record(&batch);
+        for (completion, on_done) in batch {
+            call(on_done, completion);
+        }
     }
 
-    /// Writes `completion`'s manifest line, with diag counts on `ok` lines.
-    fn record(&self, completion: &Completion<T>) {
+    /// Commits the manifest lines of `batch`, with diag counts on `ok`
+    /// lines, in one write and one sync.
+    fn record(&self, batch: &[Delivery<T>]) {
         if let Some(writer) = &self.cfg.manifest {
-            let diag = match (&self.codec, &completion.outcome.result) {
-                (Some(codec), Ok(value)) => {
-                    codec.diag.and_then(|diag| guarded(|| diag(value)).ok())
-                }
-                _ => None,
-            };
-            writer.record(&manifest::Entry::of(&completion.outcome, diag));
+            let entries: Vec<manifest::Entry> = batch
+                .iter()
+                .map(|(completion, _)| {
+                    let diag = match (&self.codec, &completion.outcome.result) {
+                        (Some(codec), Ok(value)) => {
+                            codec.diag.and_then(|diag| guarded(|| diag(value)).ok())
+                        }
+                        _ => None,
+                    };
+                    manifest::Entry::of(&completion.outcome, diag)
+                })
+                .collect();
+            writer.write(&entries);
         }
     }
 }
@@ -926,6 +948,95 @@ mod tests {
         assert_eq!(rx.try_iter().count(), 24, "every accepted job delivered by drain");
         assert_eq!(manifest::summarize(&path).unwrap().total, 24);
         service.shutdown();
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn every_callback_finds_its_line_already_committed() {
+        let dir = std::env::temp_dir().join(format!("ap-service-durable-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let codec =
+            Codec::<u32> { encode: |v| v.to_string(), decode: |s| s.parse().ok(), diag: None };
+        let cache = DiskCache::new(dir.join("cache"));
+        let keys: Vec<String> = (0..64).map(|i| format!("hit{i:02}")).collect();
+        for (value, key) in (0u32..).zip(&keys) {
+            cache.store(key, "", &value, &codec);
+        }
+        let path = dir.join("manifest.jsonl");
+        let writer = manifest::Writer::append(&path).unwrap();
+        let cfg = ServiceConfig {
+            queue_capacity: 64,
+            cache: Some(cache),
+            manifest: Some(writer.clone()),
+            ..quick_cfg(2)
+        };
+        let service = Service::start(cfg, Some(codec));
+        let (tx, rx) = mpsc::channel();
+        for key in &keys {
+            let (tx, path) = (tx.clone(), path.clone());
+            let line = format!("{{\"key\":\"{key}\",");
+            let on_done = move |c: Completion<u32>| {
+                let text = std::fs::read_to_string(&path).unwrap_or_default();
+                let committed = text.lines().any(|l| l.starts_with(&line) && l.ends_with('}'));
+                let _ = tx.send((c.outcome.key, c.outcome.cache_hit, committed));
+            };
+            let job = Job::new(key.clone(), || -> u32 { unreachable!("every job is a hit") });
+            service.submit(1, job, None, on_done).unwrap();
+        }
+        service.drain();
+        let seen: Vec<(String, bool, bool)> = rx.try_iter().collect();
+        assert_eq!(seen.len(), 64, "every accepted job delivered by drain");
+        for (key, hit, committed) in &seen {
+            assert!(*hit, "{key} is served from the warm cache");
+            assert!(*committed, "{key}'s callback ran before its line was committed");
+        }
+        service.shutdown();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let mut lines: Vec<&str> = text.lines().collect();
+        lines.sort_unstable();
+        let expected: Vec<String> = keys.iter().map(|k| format!("{{\"key\":\"{k}\",")).collect();
+        assert_eq!(lines.len(), 64, "exactly one line per job:\n{text}");
+        for (line, prefix) in lines.iter().zip(&expected) {
+            assert!(line.starts_with(prefix.as_str()), "{line} is not {prefix}...");
+        }
+        assert_eq!(writer.counts().0, 64);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn retiring_a_client_commits_its_cancelled_lines_with_one_sync() {
+        let path = std::env::temp_dir().join(format!("ap-service-retire-{}", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        let writer = manifest::Writer::append(&path).unwrap();
+        let cfg =
+            ServiceConfig { queue_capacity: 64, manifest: Some(writer.clone()), ..quick_cfg(1) };
+        let service = Service::start(cfg, None);
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        let (tx, rx) = mpsc::channel();
+        service
+            .submit(
+                9,
+                Job::new("gate", move || {
+                    gate_rx.recv().unwrap();
+                }),
+                None,
+                |_| {},
+            )
+            .unwrap();
+        wait_running(&service, 1);
+        for i in 0..50 {
+            service.submit(1, Job::new(format!("q{i}"), || {}), None, send_done(&tx)).unwrap();
+        }
+        let (lines, syncs) = writer.counts();
+        assert_eq!(service.retire_client(1), 50);
+        assert_eq!(writer.counts(), (lines + 50, syncs + 1), "50 lines, one sync");
+        let cancelled: Vec<Completion<()>> = rx.try_iter().collect();
+        assert_eq!(cancelled.len(), 50, "callbacks fire on the retiring thread");
+        assert!(cancelled.iter().all(|c| c.outcome.result == Err(JobError::Cancelled)));
+        gate_tx.send(()).unwrap();
+        service.shutdown();
+        let summary = manifest::summarize(&path).unwrap();
+        assert_eq!((summary.cancelled, summary.total), (50, 51));
         let _ = std::fs::remove_file(&path);
     }
 
